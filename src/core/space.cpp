@@ -11,6 +11,8 @@ Space::Space(std::vector<VarSpec> vars) : vars_(std::move(vars)) {
   strides_.reserve(vars_.size());
   for (const auto& v : vars_) {
     if (v.cardinality == 0) throw std::invalid_argument("Space: zero cardinality for " + v.name);
+    // ceil(2^64 / card), wrapping to 0 for card 1 (whose digit is 0).
+    recips_.push_back(~StateId{0} / v.cardinality + 1);
     strides_.push_back(size_);
     if (!dense_ || size_ > std::numeric_limits<StateId>::max() / v.cardinality) {
       // Too large to pack: saturate and mark sparse (simulation-only).
@@ -43,6 +45,17 @@ void Space::decode_into(StateId id, StateVec& out) const {
   if (!dense_) throw std::logic_error("Space::decode: space is sparse (too large to pack)");
   assert(id < size_);
   out.resize(vars_.size());
+  if (id <= 0xffffffffu) {
+    // Every space the engines enumerate: divide by multiplying with the
+    // reciprocal, exact for 32-bit dividends (Lemire, Kaser & Kurz).
+    for (std::size_t i = 0; i < vars_.size(); ++i) {
+      const unsigned __int128 product = static_cast<unsigned __int128>(id) * recips_[i];
+      const StateId q = recips_[i] == 0 ? id : static_cast<StateId>(product >> 64);
+      out[i] = static_cast<Value>(id - q * vars_[i].cardinality);
+      id = q;
+    }
+    return;
+  }
   for (std::size_t i = 0; i < vars_.size(); ++i) {
     out[i] = static_cast<Value>(id % vars_[i].cardinality);
     id /= vars_[i].cardinality;

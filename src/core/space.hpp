@@ -51,6 +51,10 @@ class Space {
   /// Declaration of variable `i`.
   const VarSpec& var(std::size_t i) const { return vars_[i]; }
 
+  /// Place value of variable `i` in the packed id (meaningful only for
+  /// dense spaces).
+  StateId stride(std::size_t i) const { return strides_[i]; }
+
   /// Total number of states (product of cardinalities); saturated to the
   /// maximum StateId for sparse spaces.
   StateId size() const { return size_; }
@@ -80,6 +84,7 @@ class Space {
  private:
   std::vector<VarSpec> vars_;
   std::vector<StateId> strides_;
+  std::vector<StateId> recips_;  // ceil(2^64 / cardinality), for decode
   StateId size_ = 1;
   bool dense_ = true;
 };

@@ -8,11 +8,13 @@
 namespace cref {
 
 System::System(std::string name, SpacePtr space, std::vector<Action> actions,
-               std::optional<StatePredicate> initial)
+               std::optional<StatePredicate> initial,
+               std::shared_ptr<const SuccessorKernel> kernel)
     : name_(std::move(name)),
       space_(std::move(space)),
       actions_(std::move(actions)),
-      initial_(std::move(initial)) {
+      initial_(std::move(initial)),
+      kernel_(std::move(kernel)) {
   if (!space_) throw std::invalid_argument("System: null space");
 }
 
@@ -40,6 +42,7 @@ std::vector<StateId> System::successors(StateId s) const {
 }
 
 std::size_t System::successors_into(StateId s, SuccessorScratch& scratch) const {
+  if (kernel_) return kernel_->successors_into(s, scratch);
   const std::size_t base = scratch.out.size();
   space_->decode_into(s, scratch.decoded);
   for (const auto& a : actions_) {
@@ -97,7 +100,10 @@ System box_priority(const System& sys, const System& wrapper) {
   // dangle if `wrapper` is a temporary.
   auto wrapper_actions = std::make_shared<const std::vector<Action>>(wrapper.actions());
   auto wrapper_changes_state = [wrapper_actions](const StateVec& s) {
-    StateVec scratch;
+    // One effect buffer per thread, reused across calls. A nested
+    // composition's preemption test can only run inside w.guard below,
+    // before this call writes the buffer, so reuse never clobbers it.
+    thread_local StateVec scratch;
     for (const Action& w : *wrapper_actions) {
       if (!w.guard(s)) continue;
       scratch = s;
@@ -148,7 +154,7 @@ System with_reachable_initial(const System& sys, const StateVec& seed) {
   StatePredicate pred = [ids = std::move(ids), space](const StateVec& s) {
     return std::binary_search(ids.begin(), ids.end(), space->encode(s));
   };
-  return System(sys.name(), space, sys.actions(), std::move(pred));
+  return System(sys.name(), space, sys.actions(), std::move(pred), sys.kernel());
 }
 
 }  // namespace cref

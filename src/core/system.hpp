@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,11 +18,25 @@ using StatePredicate = std::function<bool(const StateVec&)>;
 /// Reusable workspace for System::successors_into. One scratch per
 /// worker thread lets the Sigma-materialization loops decode, evaluate
 /// and collect successors for millions of states without a single heap
-/// allocation after warm-up (the three buffers keep their capacity).
+/// allocation after warm-up (the buffers keep their capacity).
 struct SuccessorScratch {
-  StateVec decoded;         // decode of the queried state
-  StateVec effect;          // action-effect workspace
-  std::vector<StateId> out; // caller-owned successor buffer
+  StateVec decoded;                // decode of the queried state
+  StateVec effect;                 // action-effect workspace
+  std::vector<std::int64_t> stack; // operand stack of a compiled kernel
+  std::vector<StateId> out;        // caller-owned successor buffer
+};
+
+/// A compiled successor generator for one system: a drop-in for the
+/// generic guard/effect loop of System::successors_into, with the same
+/// contract (decode into `scratch`, APPEND the distinct non-self
+/// successors of `s` in ascending order, return how many). It must
+/// enumerate exactly the successors the system's actions define, and be
+/// safe to call concurrently with distinct scratches. gcl::compile emits
+/// one; hand-written and composed systems have none.
+class SuccessorKernel {
+ public:
+  virtual ~SuccessorKernel() = default;
+  virtual std::size_t successors_into(StateId s, SuccessorScratch& scratch) const = 0;
 };
 
 /// A system S = (Sigma, T, I) in the sense of the paper, presented as a
@@ -40,14 +56,20 @@ class System {
  public:
   /// Builds a system from explicit parts. `initial` is a predicate;
   /// pass std::nullopt for systems with no initial states of their own
-  /// (wrappers) — box() then inherits the other operand's set.
+  /// (wrappers) — box() then inherits the other operand's set. `kernel`,
+  /// when given, must generate exactly the successors of `actions`;
+  /// successors_into then dispatches to it.
   System(std::string name, SpacePtr space, std::vector<Action> actions,
-         std::optional<StatePredicate> initial);
+         std::optional<StatePredicate> initial,
+         std::shared_ptr<const SuccessorKernel> kernel = nullptr);
 
   const std::string& name() const { return name_; }
   const Space& space() const { return *space_; }
   const SpacePtr& space_ptr() const { return space_; }
   const std::vector<Action>& actions() const { return actions_; }
+
+  /// The compiled successor kernel, or null (generic action loop).
+  const std::shared_ptr<const SuccessorKernel>& kernel() const { return kernel_; }
 
   /// True if the system declares an initial-state predicate (wrappers do
   /// not).
@@ -77,9 +99,10 @@ class System {
   /// loops should hold a SuccessorScratch and call that directly.
   std::vector<StateId> successors(StateId s) const;
 
-  /// Allocation-free successor enumeration: decodes `s` into
-  /// `scratch.decoded` once, evaluates every action against it in
-  /// place, and APPENDS the distinct non-self successors (ascending) to
+  /// Allocation-free successor enumeration: runs the compiled kernel if
+  /// the system has one; otherwise decodes `s` into `scratch.decoded`
+  /// once, evaluates every action against it in place. Either way it
+  /// APPENDS the distinct non-self successors (ascending) to
   /// `scratch.out`. Returns the number appended. The caller owns the
   /// buffer: clear it between states, or keep appending to batch
   /// several states' lists.
@@ -124,6 +147,7 @@ class System {
   SpacePtr space_;
   std::vector<Action> actions_;
   std::optional<StatePredicate> initial_;
+  std::shared_ptr<const SuccessorKernel> kernel_;  // null: generic action loop
   StatePredicate state_filter_;  // empty: no pruning
   mutable std::optional<std::vector<StateId>> initial_cache_;
 };

@@ -372,6 +372,27 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
     compare_builds("C", fc.gcl_c);
   }
 
+  // ---- compiled-vs-treewalk ---------------------------------------
+  // gcl::compile's flat successor kernel, and the Action guard, effect
+  // and init closures that run the same code, must agree with a
+  // tree-walk of gcl::eval on every state of both programs.
+  if (fc.from_gcl()) {
+    auto compare_kernel = [&](const char* side, const std::string& src) {
+      try {
+        const gcl::SystemAst ast = gcl::parse(src);
+        const System sys = gcl::compile(ast);
+        for (StateId s = 0; s < sys.space().size(); ++s)
+          if (std::string bad = treewalk_mismatch(ast, sys, s); !bad.empty())
+            return add("compiled-vs-treewalk", std::string(side) + ": " + bad);
+        ++st.kernels_compared;
+      } catch (const std::exception& e) {
+        add("compiled-vs-treewalk", std::string(side) + ": threw: " + e.what());
+      }
+    };
+    compare_kernel("A", fc.gcl_a);
+    compare_kernel("C", fc.gcl_c);
+  }
+
   // ---- campaign-determinism ---------------------------------------
   // A miniature fault-environment campaign over the compiled C program:
   // aggregates must be byte-identical single-threaded, multi-threaded

@@ -31,6 +31,10 @@
 //   build-parallel-vs-serial  the parallel two-pass Sigma
 //                           materialization produces bit-identical CSR
 //                           arrays to the serial build (GCL cases)
+//   compiled-vs-treewalk    gcl::compile's flat successor kernel
+//                           and the guard/effect/init closures that
+//                           share its code agree with a tree-walk of
+//                           gcl::eval on every state (GCL cases)
 //   campaign-determinism    a small fault-environment campaign sweep
 //                           ({scramble, corruption, crash+restart} x
 //                           {random, round-robin, adversary}) over the
@@ -128,6 +132,7 @@ struct OracleStats {
   std::size_t gcl_roundtrips = 0;
   std::size_t meta_implications = 0;
   std::size_t builds_compared = 0;
+  std::size_t kernels_compared = 0;    // programs kernel == tree-walk on every state
   std::size_t campaigns_compared = 0;  // sweeps checked serial == parallel == replay
   std::size_t absint_checked = 0;      // programs with R# superset verified
   std::size_t closures_validated = 0;  // static closure proofs confirmed explicitly

@@ -1,5 +1,9 @@
 #include "fuzzing/reference.hpp"
 
+#include <algorithm>
+
+#include "gcl/compile.hpp"
+
 namespace cref::fuzz {
 
 namespace {
@@ -122,6 +126,49 @@ ReferenceVerdicts reference_check(const TransitionGraph& c, const TransitionGrap
     if (v.stabilizing && has_cycle(cn, stutter, nullptr)) v.stabilizing = false;
   }
   return v;
+}
+
+namespace {
+
+StateVec treewalk_effect(const gcl::SystemAst& ast, const gcl::ActionAst& a, const StateVec& old) {
+  std::vector<std::int64_t> values;
+  values.reserve(a.assignments.size());
+  for (const gcl::AssignmentAst& asg : a.assignments) values.push_back(gcl::eval(asg.value, old));
+  StateVec next = old;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::size_t var = a.assignments[i].var_index;
+    next[var] = static_cast<Value>(gcl::eval_mod(values[i], ast.vars[var].cardinality));
+  }
+  return next;
+}
+
+}  // namespace
+
+std::string treewalk_mismatch(const gcl::SystemAst& ast, const System& sys, StateId s) {
+  const Space& space = sys.space();
+  auto at = [&](const std::string& what) { return "state " + space.format(s) + ": " + what; };
+  const StateVec old = space.decode(s);
+  std::vector<StateId> succ;
+  for (const gcl::ActionAst& a : ast.actions) {
+    if (gcl::eval(a.guard, old) == 0) continue;
+    const StateId t = space.encode(treewalk_effect(ast, a, old));
+    if (t != s) succ.push_back(t);
+  }
+  std::sort(succ.begin(), succ.end());
+  succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
+  if (sys.successors(s) != succ) return at("kernel successors differ");
+  if (ast.init && sys.is_initial(old) != (gcl::eval(*ast.init, old) != 0))
+    return at("init predicate differs");
+  for (std::size_t i = 0; i < ast.actions.size(); ++i) {
+    const Action& act = sys.actions()[i];
+    if (act.guard(old) != (gcl::eval(ast.actions[i].guard, old) != 0))
+      return at("guard of " + act.name + " differs");
+    StateVec post = old;
+    act.effect(post);
+    if (post != treewalk_effect(ast, ast.actions[i], old))
+      return at("effect of " + act.name + " differs");
+  }
+  return "";
 }
 
 }  // namespace cref::fuzz

@@ -10,9 +10,11 @@
 // oracle (src/fuzzing/oracles.hpp) compares its verdicts against the
 // production engine on every sampled case.
 
+#include <string>
 #include <vector>
 
 #include "core/graph.hpp"
+#include "gcl/ast.hpp"
 
 namespace cref::fuzz {
 
@@ -33,5 +35,15 @@ ReferenceVerdicts reference_check(const TransitionGraph& c, const TransitionGrap
                                   const std::vector<StateId>& c_init,
                                   const std::vector<StateId>& a_init,
                                   const std::vector<StateId>& alpha);
+
+/// Holds the compiled system `sys` = gcl::compile(`ast`) to a tree-walk
+/// of gcl::eval at state `s`: the successor list (every action whose
+/// guard evaluates nonzero evaluates all right-hand sides against the
+/// old state, writes them in order so a repeated target keeps the last
+/// value, reduces each mod its cardinality; no-op steps dropped), the
+/// init predicate, and every action's guard and effect closure. Returns
+/// "" when all agree, otherwise a description of the first difference.
+/// The reference the compiled successor kernel is tested against.
+std::string treewalk_mismatch(const gcl::SystemAst& ast, const System& sys, StateId s);
 
 }  // namespace cref::fuzz

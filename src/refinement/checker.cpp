@@ -174,16 +174,24 @@ bool RefinementChecker::initial_states_match() const {
   return true;
 }
 
-std::optional<Trace> RefinementChecker::find_stutter_cycle(const util::DenseBitset* filter) const {
-  // Subgraph of stutter edges whose image is NOT an A-deadlock (infinite
-  // stuttering at an A-deadlock image collapses to a maximal finite
-  // computation of A and is therefore permitted).
+std::optional<Trace> RefinementChecker::find_stutter_cycle(
+    const util::DenseBitset* filter, const util::DenseBitset* exempt_scope) const {
+  // Subgraph of stutter edges whose image is NOT an exempt A-deadlock
+  // (infinite stuttering at an A-deadlock image — inside `exempt_scope`,
+  // when given — collapses to a maximal finite computation of A and is
+  // therefore permitted). Only edges inside a nontrivial C-SCC are kept:
+  // a stutter cycle is a cycle of C, and edges on no cycle of C change
+  // no nontrivial component of the subgraph (the on-the-fly engine
+  // confines its sweep the same way).
+  const Scc& cscc = c_scc();
   std::vector<std::pair<StateId, StateId>> edges;
   for (StateId s = 0; s < c_.num_states(); ++s) {
     if (filter && !filter->test(s)) continue;
+    const StateId is = image(s);
+    if (a_.is_deadlock(is) && (!exempt_scope || exempt_scope->test(is))) continue;
     for (StateId t : c_.successors(s)) {
       if (filter && !filter->test(t)) continue;
-      if (image(s) == image(t) && !a_.is_deadlock(image(s))) edges.emplace_back(s, t);
+      if (cscc.edge_on_cycle(s, t) && image(t) == is) edges.emplace_back(s, t);
     }
   }
   if (edges.empty()) return std::nullopt;
@@ -295,7 +303,7 @@ CheckResult RefinementChecker::check_region(const util::DenseBitset* filter,
                              viol->on_cycle ? cycle_witness(viol->s, viol->t)
                                             : edge_witness(viol->s, viol->t));
   }
-  if (auto cyc = find_stutter_cycle(filter))
+  if (auto cyc = find_stutter_cycle(filter, /*exempt_scope=*/nullptr))
     return CheckResult::fail(std::string(relation_name) +
                                  ": divergence — a cycle of pure-stutter transitions whose "
                                  "image is not a deadlock of A",
@@ -370,37 +378,13 @@ CheckResult RefinementChecker::stabilizing_to() const {
   }
   // Divergence: a pure-stutter cycle collapses to a finite image of an
   // infinite computation; that image can only be a suffix of an
-  // A-computation if it is a reachable deadlock of A. Reuse the stutter
-  // search but with the R_A + deadlock exemption.
-  std::vector<std::pair<StateId, StateId>> edges;
-  for (StateId s = 0; s < c_.num_states(); ++s)
-    for (StateId t : c_.successors(s)) {
-      StateId is = image(s);
-      if (is == image(t) && !(ra.test(is) && a_.is_deadlock(is))) edges.emplace_back(s, t);
-    }
-  if (!edges.empty()) {
-    TransitionGraph sub = TransitionGraph::from_edges(c_.num_states(), edges);
-    Scc sscc(sub);
-    for (StateId s = 0; s < sub.num_states(); ++s) {
-      if (sscc.size_of(sscc.component(s)) >= 2) {
-        util::DenseBitset in_comp(sub.num_states());
-        for (StateId u = 0; u < sub.num_states(); ++u)
-          in_comp.set(u, sscc.component(u) == sscc.component(s));
-        for (StateId t : sub.successors(s)) {
-          if (!in_comp.test(t)) continue;
-          if (auto back = find_path_within(sub, t, s, in_comp)) {
-            Trace cycle;
-            cycle.states.push_back(s);
-            cycle.states.insert(cycle.states.end(), back->states.begin(), back->states.end());
-            return CheckResult::fail(
-                "stabilizing-to: divergence — an infinite computation whose image stalls at a "
-                "non-final state of A",
-                cycle);
-          }
-        }
-      }
-    }
-  }
+  // A-computation if it is a reachable deadlock of A. Same stutter
+  // search, with the deadlock exemption scoped to R_A.
+  if (auto cyc = find_stutter_cycle(nullptr, &ra))
+    return CheckResult::fail(
+        "stabilizing-to: divergence — an infinite computation whose image stalls at a "
+        "non-final state of A",
+        *cyc);
   return CheckResult::ok();
 }
 

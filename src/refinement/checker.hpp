@@ -164,7 +164,8 @@ class RefinementChecker {
   void ensure_a_closure() const;
   CheckResult check_region(const util::DenseBitset* filter, bool allow_compressed_off_cycle,
                            bool allow_invalid_off_cycle, const char* relation_name) const;
-  std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter) const;
+  std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter,
+                                          const util::DenseBitset* exempt_scope) const;
   Trace cycle_witness(StateId s, StateId t) const;
 
   TransitionGraph c_;

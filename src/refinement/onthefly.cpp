@@ -419,23 +419,34 @@ Trace OnTheFlyChecker::cycle_witness(StateId s, StateId t) const {
 // ---------------------------------------------------------------------------
 // Stutter-cycle (divergence) search
 
-std::optional<Trace> OnTheFlyChecker::find_stutter_cycle(const util::DenseBitset* filter) const {
-  // Implicit subgraph of stutter edges whose image is NOT an A-deadlock
-  // (infinite stuttering at an A-deadlock image collapses to a maximal
-  // finite computation of A and is therefore permitted). States outside
+std::optional<Trace> OnTheFlyChecker::find_stutter_cycle(
+    const util::DenseBitset* filter, const util::DenseBitset* exempt_scope) const {
+  // Implicit subgraph of stutter edges whose image is not an exempt
+  // A-deadlock: infinite stuttering at an A-deadlock image (inside
+  // `exempt_scope`, when given) collapses to a maximal finite
+  // computation of A and is therefore permitted. States outside
   // `filter` get empty lists — isolated singletons, as in the explicit
   // edge-list construction.
+  //
+  // Confined to C's cyclic components: a stutter cycle is a cycle of C,
+  // so it lies inside one nontrivial C-SCC, and an edge leaving its
+  // source's C-component lies on no cycle at all. Dropping such edges
+  // (and every edge out of a trivial component, without generating its
+  // successors) changes no nontrivial component of the stutter
+  // subgraph, and path_within's same-component BFS never took them —
+  // the first cyclic state, its successor order and the witness are
+  // unchanged. c_scc() is already built by every caller.
+  const LazyScc& cscc = c_scc();
   Workspace w;
   std::vector<StateId> buf;
   auto stutter_succ = [&](StateId s) -> std::span<const StateId> {
     buf.clear();
-    if (filter && !filter->test(s)) return {};
-    auto succs = successors(s, w);
-    if (succs.empty()) return {};
+    const std::size_t comp = cscc.component(s);
+    if (!cscc.nontrivial(comp) || (filter && !filter->test(s))) return {};
     const StateId is = image(s, w);
-    if (a_.is_deadlock(is)) return {};
-    for (StateId t : succs) {
-      if (filter && !filter->test(t)) continue;
+    if (a_.is_deadlock(is) && (!exempt_scope || exempt_scope->test(is))) return {};
+    for (StateId t : successors(s, w)) {
+      if (cscc.component(t) != comp || (filter && !filter->test(t))) continue;
       if (image(t, w) == is) buf.push_back(t);
     }
     return {buf.data(), buf.size()};
@@ -550,7 +561,7 @@ CheckResult OnTheFlyChecker::check_region(const util::DenseBitset* filter,
   std::optional<Trace> cyc;
   {
     PhaseTimer timer(stutter_ms_);
-    cyc = find_stutter_cycle(filter);
+    cyc = find_stutter_cycle(filter, /*exempt_scope=*/nullptr);
   }
   if (cyc)
     return CheckResult::fail(std::string(relation_name) +
@@ -633,42 +644,17 @@ CheckResult OnTheFlyChecker::stabilizing_to() const {
   // Divergence: a pure-stutter cycle collapses to a finite image of an
   // infinite computation; that image can only be a suffix of an
   // A-computation if it is a reachable deadlock of A. Same stutter
-  // search, with the R_A + deadlock exemption.
-  PhaseTimer timer(stutter_ms_);
-  Workspace w;
-  std::vector<StateId> buf;
-  auto stutter_succ = [&](StateId s) -> std::span<const StateId> {
-    buf.clear();
-    auto succs = successors(s, w);
-    if (succs.empty()) return {};
-    const StateId is = image(s, w);
-    if (ra.test(is) && a_.is_deadlock(is)) return {};
-    for (StateId t : succs)
-      if (image(t, w) == is) buf.push_back(t);
-    return {buf.data(), buf.size()};
-  };
-  LazyScc sscc(n_, stutter_succ);
-  for (StateId s = 0; s < n_; ++s) {
-    if (!sscc.nontrivial(sscc.component(s))) continue;
-    std::vector<StateId> s_succs;
-    {
-      auto sp = stutter_succ(s);
-      s_succs.assign(sp.begin(), sp.end());
-    }
-    auto allowed = [&](StateId u) { return sscc.component(u) == sscc.component(s); };
-    for (StateId t : s_succs) {
-      if (sscc.component(t) != sscc.component(s)) continue;
-      if (auto back = path_within(stutter_succ, t, s, allowed)) {
-        Trace cycle;
-        cycle.states.push_back(s);
-        cycle.states.insert(cycle.states.end(), back->states.begin(), back->states.end());
-        return CheckResult::fail(
-            "stabilizing-to: divergence — an infinite computation whose image stalls at a "
-            "non-final state of A",
-            cycle);
-      }
-    }
+  // search, with the deadlock exemption scoped to R_A.
+  std::optional<Trace> cyc;
+  {
+    PhaseTimer timer(stutter_ms_);
+    cyc = find_stutter_cycle(nullptr, &ra);
   }
+  if (cyc)
+    return CheckResult::fail(
+        "stabilizing-to: divergence — an infinite computation whose image stalls at a "
+        "non-final state of A",
+        *cyc);
   return CheckResult::ok();
 }
 

@@ -215,7 +215,8 @@ class OnTheFlyChecker {
   const util::DenseBitset& a_reachable() const;
   CheckResult check_region(const util::DenseBitset* filter, bool allow_compressed_off_cycle,
                            bool allow_invalid_off_cycle, const char* relation_name) const;
-  std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter) const;
+  std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter,
+                                          const util::DenseBitset* exempt_scope) const;
   Trace cycle_witness(StateId s, StateId t) const;
   std::optional<Trace> path_from_init(StateId target) const;
   std::optional<Trace> path_within(const LazyScc::SuccFn& succ, StateId source, StateId target,

@@ -32,6 +32,7 @@ TEST(OracleTest, CleanCasesPassEveryOracle) {
   EXPECT_GT(stats.mutations_rejected, 0u);
   EXPECT_GT(stats.walks_checked, 0u);
   EXPECT_GT(stats.gcl_roundtrips, 0u);
+  EXPECT_GT(stats.kernels_compared, 0u);
   EXPECT_GT(stats.meta_implications, 0u);
 }
 

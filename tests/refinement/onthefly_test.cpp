@@ -251,6 +251,48 @@ TEST(OnTheFlyParityTest, StutterCycleDivergenceDetected) {
 }
 
 // ---------------------------------------------------------------------
+// Stutter-sweep confinement: both engines keep only stutter edges inside
+// a nontrivial C-SCC. Stutter edges that cross between two nontrivial
+// components, and stutter chains through trivial ones, must change no
+// verdict, reason or witness on any relation.
+// ---------------------------------------------------------------------
+
+TEST(OnTheFlyParityTest, StutterEdgesAcrossAndOutsideCyclicComponents) {
+  // C-SCCs X = {1,2,3} and Y = {5,6} are pure-stutter cycles onto A-state
+  // 0; Z = {8,9} follows A exactly (0 -> 1 -> 0). 3 -> 5 and 6 -> 8 are
+  // stutter edges between nontrivial components; 0 -> 1 and 7 -> 4 -> 5
+  // are stutter chains through trivial ones. No state deadlocks.
+  const TransitionGraph c = TransitionGraph::from_edges(
+      10, {{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 5}, {4, 5}, {5, 6}, {6, 5}, {6, 8},
+           {7, 4}, {8, 9}, {9, 8}});
+  const std::vector<StateId> alpha{0, 0, 0, 0, 0, 0, 0, 0, 0, 1};
+  const TransitionGraph moving = TransitionGraph::from_edges(2, {{0, 1}, {1, 0}});
+  {
+    // A keeps moving at 0: every relation reports the divergence.
+    RefinementChecker ex(c, moving, {7}, {0}, alpha);
+    OnTheFlyChecker fly(c, moving, {7}, {0}, alpha);
+    expect_engines_agree(ex, fly, 10);
+    const CheckResult init = fly.refinement_init();  // from 7: Y is the first cycle
+    EXPECT_NE(init.reason.find("divergence"), std::string::npos) << init.reason;
+    EXPECT_EQ(init.witness.states, (std::vector<StateId>{5, 6, 5}));
+    for (const CheckResult& r : {fly.everywhere_refinement(), fly.stabilizing_to()}) {
+      EXPECT_NE(r.reason.find("divergence"), std::string::npos) << r.reason;
+      EXPECT_EQ(r.witness.states, (std::vector<StateId>{1, 2, 3, 1}));
+    }
+  }
+  {
+    // Everything maps onto 0, a reachable A-deadlock: stuttering there
+    // is a maximal finite computation of A, so every cycle is exempt.
+    const TransitionGraph halting = TransitionGraph::from_edges(2, {{1, 0}});
+    const std::vector<StateId> onto_zero(10, 0);
+    RefinementChecker ex(c, halting, {7}, {1}, onto_zero);
+    OnTheFlyChecker fly(c, halting, {7}, {1}, onto_zero);
+    expect_engines_agree(ex, fly, 11);
+    EXPECT_TRUE(fly.stabilizing_to().holds) << fly.stabilizing_to().reason;
+  }
+}
+
+// ---------------------------------------------------------------------
 // reachable_in_a: closure path vs per-query BFS fallback.
 // ---------------------------------------------------------------------
 

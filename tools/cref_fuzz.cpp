@@ -202,6 +202,7 @@ int main(int argc, char** argv) {
             << "  simulation:   " << st.walks_checked << " walks\n"
             << "  gcl:          " << st.gcl_roundtrips << " roundtrips\n"
             << "  builds:       " << st.builds_compared << " parallel-vs-serial compared\n"
+            << "  kernels:      " << st.kernels_compared << " compiled-vs-treewalk compared\n"
             << "  campaigns:    " << st.campaigns_compared << " sweeps compared\n"
             << "  absint:       " << st.absint_checked << " regions sound, "
             << st.closures_validated << " closure proofs confirmed\n"
