@@ -29,7 +29,7 @@ int main() {
     EdgeStats st = rc.edge_stats();
     // Count compressed edges that lie on cycles of C1 (must be zero).
     std::size_t on_cycle = 0;
-    const Scc& scc = rc.c_scc();
+    const LazyScc& scc = rc.c_scc();
     for (StateId s = 0; s < rc.c_graph().num_states(); ++s)
       for (StateId u : rc.c_graph().successors(s))
         if (scc.edge_on_cycle(s, u) &&

@@ -137,9 +137,29 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
   }
 
   // ---- onthefly-vs-explicit ---------------------------------------
+  // The explicit front end reads C from its CSR. For GCL cases the
+  // engine here generates C's successors from the compiled program
+  // instead, so the two successor sources are held against each other;
+  // graph cases (and injected bugs, which perturb only the CSR) have no
+  // second source and run the engine on the same CSR.
   {
     ++st.onthefly_compared;
-    OnTheFlyChecker fly(ev.c, fc.a, ev.c_init, fc.a_init, fc.alpha);
+    std::optional<System> csys, asys;
+    if (fc.from_gcl() && opts.bug == InjectedBug::kNone) {
+      try {
+        csys.emplace(gcl::load_system(fc.gcl_c));
+        asys.emplace(gcl::load_system(fc.gcl_a));
+      } catch (const std::exception& e) {
+        add("onthefly-vs-explicit", std::string("compiling the GCL pair threw: ") + e.what());
+        csys.reset();
+      }
+    }
+    std::optional<OnTheFlyChecker> fly_store;
+    if (csys)
+      fly_store.emplace(*csys, *asys);
+    else
+      fly_store.emplace(ev.c, fc.a, ev.c_init, fc.a_init, fc.alpha);
+    const OnTheFlyChecker& fly = *fly_store;
     const RelationResult fr[5] = {{"refinement_init", fly.refinement_init()},
                                   {"everywhere", fly.everywhere_refinement()},
                                   {"convergence", fly.convergence_refinement()},

@@ -8,11 +8,12 @@
 //   serial-parallel         multi-threaded engine bit-identical to the
 //                           serial one (verdict, reason, witness,
 //                           EdgeStats)
-//   onthefly-vs-explicit    the on-the-fly SCC-quotient engine
-//                           (OnTheFlyChecker) bit-identical to the
-//                           explicit serial engine on all five
-//                           relations (verdict, reason, witness,
-//                           EdgeStats)
+//   onthefly-vs-explicit    the relation engine (OnTheFlyChecker)
+//                           bit-identical to the explicit front end
+//                           on all five relations (verdict, reason,
+//                           witness, EdgeStats); for GCL cases the
+//                           engine generates C from the compiled
+//                           program, not from the CSR
 //   witness-path            every failing verdict's witness is a real
 //                           path/cycle of C
 //   certificate             stabilizing => make_certificate validates;

@@ -40,7 +40,7 @@ std::optional<StabilizationCertificate> make_certificate(const RefinementChecker
   // rho: Tarjan component index of C. Cross-component edges go from a
   // higher to a lower id; intra-component (cycle) edges keep it equal,
   // and the stabilization verdict guarantees those are all good.
-  const Scc& scc = rc.c_scc();
+  const LazyScc& scc = rc.c_scc();
   cert.rho.resize(cn);
   for (StateId s = 0; s < cn; ++s) cert.rho[s] = scc.component(s);
 

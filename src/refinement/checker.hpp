@@ -1,10 +1,9 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/abstraction.hpp"
@@ -12,41 +11,18 @@
 #include "core/system.hpp"
 #include "refinement/check_result.hpp"
 #include "refinement/engine.hpp"
-#include "refinement/scc.hpp"
-#include "util/bitmatrix.hpp"
+#include "refinement/onthefly.hpp"
 #include "util/bitset.hpp"
 
 namespace cref {
 
-/// Decision procedures for every relation of the paper, between a
-/// concrete system C and an abstract system A related by an abstraction
-/// function alpha (identity for same-space refinement). All procedures
-/// are exact on the full finite state spaces.
-///
-/// Reduction to graph conditions (each is proved in the corresponding
-/// method's documentation): on a finite system, an infinite computation
-/// eventually traverses only edges that lie on cycles, and a finite
-/// computation ends in a deadlock state. Hence each relation becomes a
-/// set of conditions on (a) edges reachable from the initial states,
-/// (b) edges on cycles, and (c) deadlock states, after classifying every
-/// concrete edge against A (EdgeClass).
-///
-/// Stuttering (paper Section 2.3 / Section 6): a concrete edge whose two
-/// endpoints have the same abstract image is invisible abstractly; images
-/// of computations are stutter-collapsed before comparison. A reachable
-/// cycle of pure-stutter edges would collapse to a *finite* image of an
-/// *infinite* computation, which can only be a computation of A if the
-/// image state is an A-deadlock — such "divergence" is therefore a
-/// violation except at A-deadlock images.
-///
-/// Engine: the shared read-only structures (C-side SCC, A-side SCC +
-/// condensation closure, R_A, the reversed C graph) are built once,
-/// thread-safely, on first use; the per-check scans over T_C then run
-/// across an EngineOptions-sized thread pool. Partial results are merged
-/// by state id (lowest violating (s, t) wins), so verdicts, EdgeStats,
-/// and counterexample witnesses are bit-identical to a single-threaded
-/// run. Checks on one instance may themselves be issued from multiple
-/// threads concurrently.
+/// Explicit front end of the relation engine: materializes C and A as
+/// CSRs (or takes hand-built ones) and moves both into one graph-backed
+/// OnTheFlyChecker, which decides every relation — see that class for
+/// the contracts and their reduction to graph conditions. On top of the
+/// engine this class keeps what explicit clients read: the CSRs, the
+/// reversed C graph, the alpha table, compression examples and the
+/// graph-build timing.
 class RefinementChecker {
  public:
   /// Builds graphs for `c` and `a` (using `opts` for the parallel
@@ -64,46 +40,17 @@ class RefinementChecker {
   RefinementChecker(TransitionGraph c, TransitionGraph a, std::vector<StateId> c_init,
                     std::vector<StateId> a_init, std::vector<StateId> alpha_table = {});
 
-  /// [C subseteq A]_init — every computation of C that starts from an
-  /// initial state of C is (after stutter-collapse of its image) a
-  /// computation of A. Conditions on the subgraph reachable from I_C:
-  /// every edge Exact or Stutter; every deadlock maps to an A-deadlock;
-  /// no pure-stutter cycle (except at A-deadlock images).
-  CheckResult refinement_init() const;
-
-  /// [C subseteq A] — everywhere refinement: the refinement_init
-  /// conditions over ALL of Sigma_C.
-  CheckResult everywhere_refinement() const;
-
-  /// [C curlypreceq A] — convergence refinement: refinement_init, plus
-  /// over all of Sigma_C: no Invalid edge anywhere; no Compressed edge on
-  /// a cycle (a computation looping through a compression would drop
-  /// infinitely many states); no pure-stutter cycle (except at A-deadlock
-  /// images); every deadlock maps to an A-deadlock.
-  CheckResult convergence_refinement() const;
-
-  /// Everywhere-eventually refinement (paper Section 7, from [1]):
-  /// refinement_init, plus every computation is an arbitrary finite
-  /// prefix followed by a computation of A. Off-cycle edges are
-  /// unconstrained; cycle edges must be Exact/Stutter; deadlocks map to
-  /// A-deadlocks; stutter-cycle condition as above.
-  CheckResult everywhere_eventually_refinement() const;
-
-  /// C is stabilizing to A — every computation of C has a suffix that is
-  /// a suffix of some computation of A starting at an initial state of A.
-  /// With R_A = reachable(A, I_A): every cycle edge of C must be "good"
-  /// (image edge in T_A with both images in R_A, or stutter with image in
-  /// R_A); pure-stutter cycles only at A-deadlock images inside R_A;
-  /// every C-deadlock maps to an A-deadlock inside R_A.
-  CheckResult stabilizing_to() const;
-
-  /// Classification of one concrete transition (s, t). Precondition:
-  /// (s, t) is an edge of C (not checked).
-  EdgeClass classify_edge(StateId s, StateId t) const;
-
-  /// Classification counts over the entire concrete transition relation.
-  /// Scanned in parallel per EngineOptions; safe to call concurrently.
-  EdgeStats edge_stats() const;
+  // The relations and edge queries, decided by the engine.
+  CheckResult refinement_init() const { return engine_.refinement_init(); }
+  CheckResult everywhere_refinement() const { return engine_.everywhere_refinement(); }
+  CheckResult convergence_refinement() const { return engine_.convergence_refinement(); }
+  CheckResult everywhere_eventually_refinement() const {
+    return engine_.everywhere_eventually_refinement();
+  }
+  CheckResult stabilizing_to() const { return engine_.stabilizing_to(); }
+  EdgeClass classify_edge(StateId s, StateId t) const { return engine_.classify_edge(s, t); }
+  EdgeStats edge_stats() const { return engine_.edge_stats(); }
+  bool reachable_in_a(StateId src, StateId dst) const { return engine_.reachable_in_a(src, dst); }
 
   /// True if alpha maps the initial states of C into the initial states
   /// of A (reported separately: the paper's refinement definition
@@ -116,34 +63,20 @@ class RefinementChecker {
   /// the A-path between the images.
   std::optional<std::pair<Trace, Trace>> example_compression() const;
 
-  /// True iff A has a path of length >= 1 from `src` to `dst`. In
-  /// particular reachable_in_a(s, s) holds iff s lies on a cycle of A
-  /// (including a self-loop) — the condensation-closure and BFS paths
-  /// agree on this by construction.
-  bool reachable_in_a(StateId src, StateId dst) const;
-
   /// Engine tuning. Set BEFORE the first check; not synchronized against
   /// concurrently running checks on this instance. (The graph build in
   /// the system-taking constructors uses the options passed there.)
-  void set_engine_options(const EngineOptions& opts) { opts_ = opts; }
-  const EngineOptions& engine_options() const { return opts_; }
+  void set_engine_options(const EngineOptions& opts) { engine_.set_engine_options(opts); }
+  const EngineOptions& engine_options() const { return engine_.engine_options(); }
 
   /// Snapshot of the accumulated per-phase wall-clock totals.
   PhaseTimings phase_timings() const;
   void reset_phase_timings() const;
 
-  /// Accounts the wall-clock of an abstract-interpretation run whose
-  /// region pruned the graphs this checker was built from (the checker
-  /// never runs absint itself — the analysis happens on the GCL AST
-  /// before System construction; see absint::make_state_filter).
-  void record_absint_ms(double ms) const {
-    absint_ms_.fetch_add(ms, std::memory_order_relaxed);
-  }
-
-  const TransitionGraph& c_graph() const { return c_; }
-  const TransitionGraph& a_graph() const { return a_; }
-  const std::vector<StateId>& c_initial() const { return c_init_; }
-  const std::vector<StateId>& a_initial() const { return a_init_; }
+  const TransitionGraph& c_graph() const { return engine_.c_graph(); }
+  const TransitionGraph& a_graph() const { return engine_.a_graph(); }
+  const std::vector<StateId>& c_initial() const { return engine_.c_initial(); }
+  const std::vector<StateId>& a_initial() const { return engine_.a_initial(); }
 
   /// The reversed concrete graph (predecessor lists), built lazily and
   /// memoized; clients walking T_C backwards (convergence-time layering)
@@ -151,60 +84,26 @@ class RefinementChecker {
   const TransitionGraph& c_reversed() const;
 
   /// Image of concrete state `s` under alpha.
-  StateId image(StateId s) const { return alpha_.empty() ? s : alpha_[s]; }
+  StateId image(StateId s) const {
+    const std::vector<StateId>& table = engine_.alpha_table();
+    return table.empty() ? s : table[s];
+  }
 
   /// Membership bitset of R_A = reachable(A, I_A) (computed lazily,
   /// thread-safely).
-  const util::DenseBitset& a_reachable() const;
+  const util::DenseBitset& a_reachable() const { return engine_.a_reachable(); }
 
-  /// SCC decomposition of C (computed lazily, thread-safely).
-  const Scc& c_scc() const;
+  /// SCC decomposition of C (computed lazily, thread-safely). Its
+  /// numbering equals Scc's on c_graph().
+  const LazyScc& c_scc() const { return engine_.c_scc(); }
 
  private:
-  void ensure_a_closure() const;
-  CheckResult check_region(const util::DenseBitset* filter, bool allow_compressed_off_cycle,
-                           bool allow_invalid_off_cycle, const char* relation_name) const;
-  std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter,
-                                          const util::DenseBitset* exempt_scope) const;
-  Trace cycle_witness(StateId s, StateId t) const;
-
-  TransitionGraph c_;
-  TransitionGraph a_;
-  std::vector<StateId> c_init_;
-  std::vector<StateId> a_init_;
-  std::vector<StateId> alpha_;  // empty => identity
-  std::string c_name_ = "C";
-  std::string a_name_ = "A";
-  EngineOptions opts_;
-
-  /// A-side condensation closure, or the decision not to build one.
-  /// Everything a reachable_in_a query reads lives in this one struct so
-  /// its publication is a single optional engage under the once_flag —
-  /// the previous shape (bitset rows + two plain `built`/`too_big` bools
-  /// set piecewise) let a concurrent caller observe half-built state.
-  struct AClosure {
-    util::BitMatrix reach;  // rows/cols = A components; empty if too_big
-    bool too_big = false;   // comps > max_comps_for_closure: BFS fallback
-  };
-
-  // Lazily-built shared structures. Each is built exactly once under its
-  // once_flag, so concurrent checks never race on them.
-  mutable std::once_flag a_reach_once_;
-  mutable std::optional<util::DenseBitset> a_reach_;
-  mutable std::once_flag c_scc_once_;
-  mutable std::optional<Scc> c_scc_;
+  // Declared before engine_: the system-taking constructors time the
+  // graph build while initializing the engine.
+  mutable std::atomic<double> graph_build_ms_{0};
+  OnTheFlyChecker engine_;
   mutable std::once_flag c_rev_once_;
   mutable std::optional<TransitionGraph> c_rev_;
-  mutable std::once_flag a_closure_once_;
-  mutable std::optional<Scc> a_scc_;
-  mutable std::optional<AClosure> a_closure_;
-
-  mutable std::atomic<double> graph_build_ms_{0};
-  mutable std::atomic<double> c_scc_ms_{0};
-  mutable std::atomic<double> a_scc_ms_{0};
-  mutable std::atomic<double> closure_ms_{0};
-  mutable std::atomic<double> edge_scan_ms_{0};
-  mutable std::atomic<double> absint_ms_{0};
 };
 
 }  // namespace cref

@@ -336,8 +336,8 @@ std::optional<Trace> OnTheFlyChecker::path_from_init(StateId target) const {
   util::DenseBitset seen(n_);
   std::deque<StateId> queue;
   bool target_is_source = false;
-  // Ascending enumeration — the explicit engine seeds from the SORTED
-  // c_init_ vector, so the queue contents (and hence the path) match.
+  // Ascending enumeration, so both successor sources seed the same
+  // queue and find the same path.
   init.for_each_set([&](std::size_t s) {
     seen.set(s);
     queue.push_back(s);
@@ -402,7 +402,7 @@ std::optional<Trace> OnTheFlyChecker::path_within(
 
 Trace OnTheFlyChecker::cycle_witness(StateId s, StateId t) const {
   // Present the cycle as s -> t -> ... -> s, with the back path found
-  // inside s's component of the FULL graph (as the explicit engine does).
+  // inside s's component of the FULL graph.
   const LazyScc& scc = c_scc();
   Workspace w;
   auto succ = [&](StateId u) { return successors(u, w); };
@@ -425,8 +425,7 @@ std::optional<Trace> OnTheFlyChecker::find_stutter_cycle(
   // A-deadlock: infinite stuttering at an A-deadlock image (inside
   // `exempt_scope`, when given) collapses to a maximal finite
   // computation of A and is therefore permitted. States outside
-  // `filter` get empty lists — isolated singletons, as in the explicit
-  // edge-list construction.
+  // `filter` get empty lists — isolated singletons.
   //
   // Confined to C's cyclic components: a stutter cycle is a cycle of C,
   // so it lies inside one nontrivial C-SCC, and an edge leaving its
@@ -437,18 +436,35 @@ std::optional<Trace> OnTheFlyChecker::find_stutter_cycle(
   // the first cyclic state, its successor order and the witness are
   // unchanged. c_scc() is already built by every caller.
   const LazyScc& cscc = c_scc();
+  auto stutter_succ_into = [&](StateId s, Workspace& w, std::vector<StateId>& out) {
+    out.clear();
+    const std::size_t comp = cscc.component(s);
+    if (!cscc.nontrivial(comp) || (filter && !filter->test(s))) return;
+    const StateId is = image(s, w);
+    if (a_.is_deadlock(is) && (!exempt_scope || exempt_scope->test(is))) return;
+    for (StateId t : successors(s, w)) {
+      if (cscc.component(t) != comp || (filter && !filter->test(t))) continue;
+      if (image(t, w) == is) out.push_back(t);
+    }
+  };
+  // Early return: a subgraph without edges has no cycle, so when no
+  // state has a stutter successor the second Tarjan pass is skipped. The
+  // scan stops at the first state that has one.
+  {
+    const std::size_t threads = opts_.resolved_threads(n_);
+    std::vector<Workspace> ws(threads);
+    std::vector<std::vector<StateId>> outs(threads);
+    auto has_edge = [&](std::size_t tid, StateId s) -> std::optional<bool> {
+      stutter_succ_into(s, ws[tid], outs[tid]);
+      if (outs[tid].empty()) return std::nullopt;
+      return true;
+    };
+    if (!detail::min_state_scan<bool>(n_, opts_, has_edge)) return std::nullopt;
+  }
   Workspace w;
   std::vector<StateId> buf;
   auto stutter_succ = [&](StateId s) -> std::span<const StateId> {
-    buf.clear();
-    const std::size_t comp = cscc.component(s);
-    if (!cscc.nontrivial(comp) || (filter && !filter->test(s))) return {};
-    const StateId is = image(s, w);
-    if (a_.is_deadlock(is) && (!exempt_scope || exempt_scope->test(is))) return {};
-    for (StateId t : successors(s, w)) {
-      if (cscc.component(t) != comp || (filter && !filter->test(t))) continue;
-      if (image(t, w) == is) buf.push_back(t);
-    }
+    stutter_succ_into(s, w, buf);
     return {buf.data(), buf.size()};
   };
   LazyScc sscc(n_, stutter_succ);
@@ -683,6 +699,12 @@ OnTheFlyStats OnTheFlyChecker::stats() const {
   st.edge_scan_ms = edge_scan_ms_.load(std::memory_order_relaxed);
   st.stutter_ms = stutter_ms_.load(std::memory_order_relaxed);
   return st;
+}
+
+void OnTheFlyChecker::reset_timings() const {
+  for (std::atomic<double>* ms : {&a_build_ms_, &init_scan_ms_, &reach_ms_, &c_scc_ms_,
+                                  &a_scc_ms_, &closure_ms_, &edge_scan_ms_, &stutter_ms_})
+    ms->store(0, std::memory_order_relaxed);
 }
 
 }  // namespace cref

@@ -41,8 +41,8 @@ namespace cref {
 /// ascending, successors in the callback's (ascending) order — is
 /// identical to Scc on the materialized graph, so component numbering is
 /// too: reverse topological, cross edges high id -> low id. That parity
-/// is pinned by tests and lets the on-the-fly engine reuse the
-/// closure-sweep reasoning of the explicit one.
+/// is pinned by tests; certificate emitters read component() as the
+/// Tarjan rank of C.
 class LazyScc {
  public:
   using CompId = Scc::CompId;
@@ -85,9 +85,8 @@ class LazyScc {
   std::size_t peak_edges_ = 0;
 };
 
-/// Resource/shape counters of one on-the-fly run (all structures built so
-/// far; zeros where a phase has not run). Milliseconds mirror the
-/// explicit engine's PhaseTimings, split by on-the-fly phase.
+/// Resource/shape counters of one engine (all structures built so far;
+/// zeros where a phase has not run), with milliseconds split by phase.
 struct OnTheFlyStats {
   StateId states = 0;              // |Sigma_C|
   std::size_t c_comps = 0;         // components of C's main decomposition
@@ -106,29 +105,51 @@ struct OnTheFlyStats {
   double stutter_ms = 0;           // divergence (stutter-subgraph) sweeps
 };
 
-/// On-the-fly counterpart of RefinementChecker: decides the same
-/// relations, with the same verdicts, reasons and witnesses, WITHOUT ever
-/// materializing C's transition relation. Successors are generated
-/// per-state from the System's guarded commands (or read from a CSR in
-/// the graph-backed test constructor), cycle structure comes from LazyScc
-/// above, and the A side — which must be small, it is the spec — is
-/// materialized and quotiented exactly as in the explicit engine
+/// The relation engine: the one implementation of every relation of the
+/// paper, between a concrete system C and an abstract system A related
+/// by an abstraction function alpha (identity for same-space
+/// refinement). All procedures are exact on the full finite state
+/// spaces.
+///
+/// Reduction to graph conditions: on a finite system, an infinite
+/// computation eventually traverses only edges that lie on cycles, and a
+/// finite computation ends in a deadlock state. Hence each relation
+/// becomes a set of conditions on (a) edges reachable from the initial
+/// states, (b) edges on cycles, and (c) deadlock states, after
+/// classifying every concrete edge against A (EdgeClass).
+///
+/// Stuttering (paper Section 2.3 / Section 6): a concrete edge whose two
+/// endpoints have the same abstract image is invisible abstractly; images
+/// of computations are stutter-collapsed before comparison. A reachable
+/// cycle of pure-stutter edges would collapse to a *finite* image of an
+/// *infinite* computation, which can only be a computation of A if the
+/// image state is an A-deadlock — such "divergence" is therefore a
+/// violation except at A-deadlock images.
+///
+/// C's successors come from one of two sources: a System's successor
+/// kernel, generated per state and never materialized (the
+/// System-backed constructors), or a CSR (the graph-backed constructor,
+/// which RefinementChecker instantiates for explicit checking). Cycle
+/// structure comes from LazyScc above either way. The A side — which
+/// must be small, it is the spec — is materialized and quotiented once
 /// (Scc + condensation_closure bit matrix, per-query BFS fallback above
 /// max_comps_for_closure).
 ///
-/// Verdict parity with the explicit engine is a hard invariant, enforced
-/// by the `onthefly-vs-explicit` fuzzing oracle and the parity tests: the
-/// scans visit states in the same order, successor lists are identical
-/// (TransitionGraph::build itself calls successors_into), failure reasons
-/// are the same strings, and witnesses are produced by the same BFS
-/// traversal orders. An absint R# state filter installed on C
-/// (System::set_state_filter) prunes exactly like the explicit build:
+/// Determinism: the shared structures are built once, thread-safely, on
+/// first use; the per-check scans over T_C then run across an
+/// EngineOptions-sized thread pool. Partial results are merged by state
+/// id (lowest violating (s, t) wins), so verdicts, EdgeStats and
+/// witnesses are bit-identical to a single-threaded run, and identical
+/// for both successor sources (TransitionGraph::build itself calls
+/// successors_into). Checks on one instance may be issued from several
+/// threads concurrently. An absint R# state filter installed on C
+/// (System::set_state_filter) prunes exactly like the CSR build:
 /// filtered SOURCE states get empty successor lists and are therefore
 /// seen as deadlocks by unfiltered scans.
 ///
-/// Memory: O(|Sigma_C| / 8) bitsets + 4 bytes per state during SCC
-/// sweeps + the A-side quotient — ~a few hundred MB at 10^8 states,
-/// versus tens of GB for the explicit CSR.
+/// Memory (System-backed): O(|Sigma_C| / 8) bitsets + 4 bytes per state
+/// during SCC sweeps + the A-side quotient — ~a few hundred MB at 10^8
+/// states, versus tens of GB for the explicit CSR.
 class OnTheFlyChecker {
  public:
   /// Checks relations between `c` (huge, traversed lazily; its space
@@ -143,18 +164,43 @@ class OnTheFlyChecker {
   /// `a` must have the same shape.
   OnTheFlyChecker(const System& c, const System& a, const EngineOptions& opts = {});
 
-  /// Hand-built automata (tests, fuzzing oracle): C's successors come
-  /// from the given CSR but are still consumed lazily, exercising the
-  /// same code paths as the System-backed constructor.
+  /// Graph-backed: C's successors are read from the given CSR (taken
+  /// over, not copied). `alpha_table` maps every C-state to an A-state;
+  /// empty means identity (same state count).
   OnTheFlyChecker(TransitionGraph c, TransitionGraph a, std::vector<StateId> c_init,
                   std::vector<StateId> a_init, std::vector<StateId> alpha_table = {});
 
-  // The five relations — contracts and reductions as documented on
-  // RefinementChecker; verdicts are identical by construction.
+  /// [C subseteq A]_init — every computation of C that starts from an
+  /// initial state of C is (after stutter-collapse of its image) a
+  /// computation of A. Conditions on the subgraph reachable from I_C:
+  /// every edge Exact or Stutter; every deadlock maps to an A-deadlock;
+  /// no pure-stutter cycle (except at A-deadlock images).
   CheckResult refinement_init() const;
+
+  /// [C subseteq A] — everywhere refinement: the refinement_init
+  /// conditions over ALL of Sigma_C.
   CheckResult everywhere_refinement() const;
+
+  /// [C curlypreceq A] — convergence refinement: refinement_init, plus
+  /// over all of Sigma_C: no Invalid edge anywhere; no Compressed edge on
+  /// a cycle (a computation looping through a compression would drop
+  /// infinitely many states); no pure-stutter cycle (except at A-deadlock
+  /// images); every deadlock maps to an A-deadlock.
   CheckResult convergence_refinement() const;
+
+  /// Everywhere-eventually refinement (paper Section 7, from [1]):
+  /// refinement_init, plus every computation is an arbitrary finite
+  /// prefix followed by a computation of A. Off-cycle edges are
+  /// unconstrained; cycle edges must be Exact/Stutter; deadlocks map to
+  /// A-deadlocks; stutter-cycle condition as above.
   CheckResult everywhere_eventually_refinement() const;
+
+  /// C is stabilizing to A — every computation of C has a suffix that is
+  /// a suffix of some computation of A starting at an initial state of A.
+  /// With R_A = reachable(A, I_A): every cycle edge of C must be "good"
+  /// (image edge in T_A with both images in R_A, or stutter with image in
+  /// R_A); pure-stutter cycles only at A-deadlock images inside R_A;
+  /// every C-deadlock maps to an A-deadlock inside R_A.
   CheckResult stabilizing_to() const;
 
   /// Classification of one concrete transition (s, t). Precondition:
@@ -167,7 +213,9 @@ class OnTheFlyChecker {
   EdgeStats edge_stats() const;
 
   /// True iff A has a path of length >= 1 from `src` to `dst` (ids in
-  /// Sigma_A). Same closure/BFS dual as the explicit engine.
+  /// Sigma_A). In particular reachable_in_a(s, s) holds iff s lies on a
+  /// cycle of A (including a self-loop) — the condensation-closure and
+  /// BFS paths agree on this by construction.
   bool reachable_in_a(StateId src, StateId dst) const;
 
   /// Number of C states.
@@ -176,12 +224,21 @@ class OnTheFlyChecker {
   const TransitionGraph& a_graph() const { return a_; }
   const std::vector<StateId>& a_initial() const { return a_init_; }
 
+  /// Graph-backed engines only (empty otherwise): C's CSR, its sorted
+  /// initial states and the alpha table (empty = identity).
+  const TransitionGraph& c_graph() const { return c_graph_; }
+  const std::vector<StateId>& c_initial() const { return c_init_list_; }
+  const std::vector<StateId>& alpha_table() const { return alpha_table_; }
+
   /// Membership bitset of I_C (lazily built: predicate scan over Sigma,
   /// never through System::initial_states()).
   const util::DenseBitset& c_initial_set() const;
 
   /// Membership bitset of reachable(C, I_C) (lazy frontier BFS).
   const util::DenseBitset& c_reachable_set() const;
+
+  /// Membership bitset of R_A = reachable(A, I_A) (lazy, thread-safe).
+  const util::DenseBitset& a_reachable() const;
 
   /// Main SCC decomposition of C (lazy, thread-safe, built once).
   const LazyScc& c_scc() const;
@@ -193,6 +250,8 @@ class OnTheFlyChecker {
 
   /// Snapshot of phase timings and structure sizes accumulated so far.
   OnTheFlyStats stats() const;
+  /// Zeroes the accumulated phase timings (structure sizes stay).
+  void reset_timings() const;
 
  private:
   /// Per-worker buffers: successor scratch + alpha decode buffers.
@@ -201,8 +260,10 @@ class OnTheFlyChecker {
     StateVec cbuf, abuf;
   };
 
-  /// A-side condensation closure, or the decision not to build one (same
-  /// single-publication shape as RefinementChecker::AClosure).
+  /// A-side condensation closure, or the decision not to build one.
+  /// Everything a reachable_in_a query reads lives in this one struct, so
+  /// its publication is a single optional engage under the once_flag and
+  /// a concurrent caller never observes half-built state.
   struct AClosure {
     util::BitMatrix reach;
     bool too_big = false;
@@ -212,7 +273,6 @@ class OnTheFlyChecker {
   StateId image(StateId s, Workspace& w) const;
   EdgeClass classify_from(StateId is, StateId t, Workspace& w) const;
   void ensure_a_closure() const;
-  const util::DenseBitset& a_reachable() const;
   CheckResult check_region(const util::DenseBitset* filter, bool allow_compressed_off_cycle,
                            bool allow_invalid_off_cycle, const char* relation_name) const;
   std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter,
@@ -227,14 +287,14 @@ class OnTheFlyChecker {
   std::optional<Abstraction> alpha_;  // system-backed alpha (copied)
   TransitionGraph c_graph_;           // graph-backed source
   std::vector<StateId> alpha_table_;  // graph-backed alpha; empty = identity
-  std::vector<StateId> c_init_list_;  // graph-backed I_C
+  std::vector<StateId> c_init_list_;  // graph-backed I_C, sorted
   StateId n_ = 0;
   TransitionGraph a_;
   std::vector<StateId> a_init_;
   EngineOptions opts_;
 
-  // Lazily-built shared structures, one once_flag each (same discipline
-  // as the explicit engine after the ISSUE-6 race fix).
+  // Lazily-built shared structures. Each is built exactly once under its
+  // own once_flag, so concurrent checks never race on them.
   mutable std::once_flag c_scc_once_;
   mutable std::optional<LazyScc> c_scc_;
   mutable std::once_flag init_once_;

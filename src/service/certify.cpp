@@ -56,7 +56,7 @@ std::optional<std::vector<std::uint64_t>> stutter_sigma(const RefinementChecker&
 
 std::vector<std::uint64_t> scc_rho(const RefinementChecker& rc) {
   const StateId cn = rc.c_graph().num_states();
-  const Scc& scc = rc.c_scc();
+  const LazyScc& scc = rc.c_scc();
   std::vector<std::uint64_t> rho(cn);
   for (StateId s = 0; s < cn; ++s) rho[s] = scc.component(s);
   return rho;

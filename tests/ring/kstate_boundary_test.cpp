@@ -8,13 +8,11 @@
 namespace cref::ring {
 namespace {
 
-// Rows of the (n, K) stabilization grid in kstate_test.cpp, under names
-// that are the same on every run. KStateGridTest's parameter struct has
-// three padding bytes; gtest prints a struct without a PrintTo as its raw
-// bytes and ctest names a discovered test after that print. For these rows
-// the padding holds bytes of leftover pointers, which move with address
-// space randomization, so their KStateGridTest names change from one
-// discovery run to the next. A tuple is printed field by field.
+// Seven rows of the (n, K) stabilization grid in kstate_test.cpp, kept
+// under their established test names. They were split out while
+// KStateGridTest took a padded struct, whose raw-byte print gave these
+// rows names that changed between runs; KStateGridTest now takes a tuple
+// and runs every row under a stable name, so these rows run twice.
 using BoundaryCase = std::tuple<int, int, bool>;  // n, K, stabilizing
 
 class KStateBoundaryTest : public ::testing::TestWithParam<BoundaryCase> {};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "refinement/checker.hpp"
 #include "refinement/convergence_time.hpp"
 
@@ -131,22 +133,20 @@ TEST(KStateTest, LegitBehaviourCirculatesOnePrivilege) {
 
 // The (n, K) stabilization grid: Dijkstra's K-state ring on n+1
 // processes is stabilizing iff K >= n (measured exactly; the classical
-// sufficient condition K >= n+1 is not tight).
-struct GridCase {
-  int n;
-  int k;
-  bool stabilizing;
-};
+// sufficient condition K >= n+1 is not tight). The parameter is a tuple
+// because gtest prints a tuple field by field, and ctest names each row
+// after that print; a plain struct would be printed as its raw bytes,
+// padding included, giving names that change between runs.
+using GridCase = std::tuple<int, int, bool>;  // n, K, stabilizing
 
 class KStateGridTest : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(KStateGridTest, MatchesMeasuredBoundary) {
-  const auto& c = GetParam();
-  KStateLayout l(c.n, c.k);
-  UtrLayout ul(c.n);
+  const auto& [n, k, stabilizing] = GetParam();
+  KStateLayout l(n, k);
+  UtrLayout ul(n);
   RefinementChecker rc(make_kstate(l), make_utr(ul), make_alpha_k(l, ul));
-  EXPECT_EQ(rc.stabilizing_to().holds, c.stabilizing)
-      << "n=" << c.n << " K=" << c.k;
+  EXPECT_EQ(rc.stabilizing_to().holds, stabilizing) << "n=" << n << " K=" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, KStateGridTest,
