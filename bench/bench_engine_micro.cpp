@@ -10,8 +10,8 @@
 
 #include "refinement/checker.hpp"
 #include "refinement/convergence_time.hpp"
+#include "refinement/onthefly.hpp"
 #include "refinement/reachability.hpp"
-#include "refinement/scc.hpp"
 #include "ring/btr.hpp"
 #include "ring/three_state.hpp"
 
@@ -48,7 +48,7 @@ void BM_Scc(benchmark::State& state) {
   ThreeStateLayout l(static_cast<int>(state.range(0)));
   TransitionGraph g = TransitionGraph::build(make_dijkstra3(l));
   for (auto _ : state) {
-    Scc scc(g);
+    LazyScc scc(g.num_states(), [&g](StateId s) { return g.successors(s); });
     benchmark::DoNotOptimize(scc.count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,6 +1,6 @@
 #include "prover/ground_truth.hpp"
 
-#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/abstraction.hpp"
@@ -42,97 +42,27 @@ GroundTruth explicit_check(const gcl::SystemAst& ast, const gcl::Expr& target,
 
   gt.closed = true;
   gt.no_deadlock_outside = true;
-  std::vector<std::uint32_t> indeg(total, 0);
-  std::size_t outside = 0;
   for (StateId s = 0; s < total; ++s) {
     if (in_p[s]) {
       for (StateId t : g.successors(s))
         if (!in_p[t]) gt.closed = false;
-    } else {
-      ++outside;
-      if (g.is_deadlock(s)) gt.no_deadlock_outside = false;
-      for (StateId t : g.successors(s))
-        if (!in_p[t]) ++indeg[t];
-    }
-  }
-
-  // Kahn over the outside-target subrelation.
-  std::vector<StateId> queue;
-  for (StateId s = 0; s < total; ++s)
-    if (!in_p[s] && indeg[s] == 0) queue.push_back(s);
-  std::size_t processed = 0;
-  while (processed < queue.size()) {
-    const StateId s = queue[processed++];
-    for (StateId t : g.successors(s))
-      if (!in_p[t] && --indeg[t] == 0) queue.push_back(t);
-  }
-  gt.acyclic_outside = processed == outside;
-  return gt;
-}
-
-GroundTruth lazy_check(const gcl::SystemAst& ast, const gcl::Expr& target,
-                       std::size_t max_states) {
-  GroundTruth gt;
-  const System sys = gcl::compile(ast);
-  const std::size_t total = sys.space().size();
-  if (total > max_states) return gt;
-  gt.applicable = true;
-  gt.states = total;
-
-  const std::vector<char> in_p = target_mask(sys, target);
-  SuccessorScratch scratch;
-
-  gt.closed = true;
-  gt.no_deadlock_outside = true;
-  for (StateId s = 0; s < total; ++s) {
-    scratch.out.clear();
-    const std::size_t k = sys.successors_into(s, scratch);
-    gt.edges += k;
-    if (in_p[s]) {
-      for (StateId t : scratch.out)
-        if (!in_p[t]) gt.closed = false;
-    } else if (k == 0) {
+    } else if (g.is_deadlock(s)) {
       gt.no_deadlock_outside = false;
     }
   }
 
-  // Iterative three-color DFS over the outside-target subrelation:
-  // a gray-on-gray edge is a cycle.
-  enum : char { kWhite = 0, kGray = 1, kBlack = 2 };
-  std::vector<char> color(total, kWhite);
-  struct Frame {
-    StateId s;
-    std::vector<StateId> succ;
-    std::size_t next = 0;
+  // The outside-target subrelation: target states become isolated
+  // singletons. Built graphs have no self-loops, so it is acyclic iff
+  // every component is trivial.
+  std::vector<StateId> buf;
+  auto outside_succ = [&](StateId s) -> std::span<const StateId> {
+    buf.clear();
+    if (!in_p[s])
+      for (StateId t : g.successors(s))
+        if (!in_p[t]) buf.push_back(t);
+    return buf;
   };
-  gt.acyclic_outside = true;
-  std::vector<Frame> stack;
-  for (StateId root = 0; root < total && gt.acyclic_outside; ++root) {
-    if (in_p[root] || color[root] != kWhite) continue;
-    auto push = [&](StateId s) {
-      color[s] = kGray;
-      scratch.out.clear();
-      sys.successors_into(s, scratch);
-      Frame f{s, {}, 0};
-      for (StateId t : scratch.out)
-        if (!in_p[t]) f.succ.push_back(t);
-      stack.push_back(std::move(f));
-    };
-    push(root);
-    while (!stack.empty() && gt.acyclic_outside) {
-      Frame& f = stack.back();
-      if (f.next < f.succ.size()) {
-        const StateId t = f.succ[f.next++];
-        if (color[t] == kGray)
-          gt.acyclic_outside = false;
-        else if (color[t] == kWhite)
-          push(t);
-      } else {
-        color[f.s] = kBlack;
-        stack.pop_back();
-      }
-    }
-  }
+  gt.acyclic_outside = LazyScc(total, outside_succ).nontrivial_count() == 0;
   return gt;
 }
 
@@ -144,19 +74,7 @@ bool explicit_terminates(const gcl::SystemAst& ast, bool* applicable,
   if (total > max_states) return false;
 
   const TransitionGraph g = TransitionGraph::build(sys, max_states);
-  std::vector<std::uint32_t> indeg(total, 0);
-  for (StateId s = 0; s < total; ++s)
-    for (StateId t : g.successors(s)) ++indeg[t];
-  std::vector<StateId> queue;
-  for (StateId s = 0; s < total; ++s)
-    if (indeg[s] == 0) queue.push_back(s);
-  std::size_t processed = 0;
-  while (processed < queue.size()) {
-    const StateId s = queue[processed++];
-    for (StateId t : g.successors(s))
-      if (--indeg[t] == 0) queue.push_back(t);
-  }
-  return processed == total;
+  return LazyScc(total, [&](StateId s) { return g.successors(s); }).nontrivial_count() == 0;
 }
 
 RefineGroundTruth explicit_refinement(const gcl::SystemAst& c_ast,

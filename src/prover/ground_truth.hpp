@@ -33,18 +33,13 @@ struct GroundTruth {
 };
 
 /// Ground truth via a materialized TransitionGraph (CSR; parallel
-/// build). applicable == false when |Sigma| exceeds `max_states`.
+/// build); acyclicity is decided by LazyScc over the outside-target
+/// restriction. applicable == false when |Sigma| exceeds `max_states`.
 GroundTruth explicit_check(const gcl::SystemAst& ast, const gcl::Expr& target,
                            std::size_t max_states = std::size_t{1} << 22);
 
-/// The same verdict without ever materializing the graph: an iterative
-/// three-color DFS over System::successors_into. Exists so the two
-/// implementations can cross-check each other in tests and so benches
-/// can price the certificate against the cheapest explicit method too.
-GroundTruth lazy_check(const gcl::SystemAst& ast, const gcl::Expr& target,
-                       std::size_t max_states = std::size_t{1} << 22);
-
-/// Every computation finite == the WHOLE transition relation is acyclic.
+/// Every computation finite == the WHOLE transition relation is acyclic
+/// (LazyScc over the CSR finds no nontrivial component).
 /// `applicable` (if non-null) reports whether Sigma fit the cap; the
 /// return value is meaningful only when it did.
 bool explicit_terminates(const gcl::SystemAst& ast, bool* applicable = nullptr,

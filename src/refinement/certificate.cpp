@@ -1,8 +1,8 @@
 #include "refinement/certificate.hpp"
 
+#include <algorithm>
 #include <deque>
-
-#include "refinement/scc.hpp"
+#include <span>
 
 namespace cref {
 
@@ -44,27 +44,46 @@ std::optional<StabilizationCertificate> make_certificate(const RefinementChecker
   cert.rho.resize(cn);
   for (StateId s = 0; s < cn; ++s) cert.rho[s] = scc.component(s);
 
-  // sigma: longest-path index of the global subgraph of stutter edges
-  // with non-A-deadlock images (acyclic by the stabilization verdict).
-  std::vector<std::pair<StateId, StateId>> stutter_edges;
-  for (StateId s = 0; s < cn; ++s)
-    for (StateId t : c.successors(s)) {
-      StateId img = rc.image(s);
-      if (img == rc.image(t) && !a.is_deadlock(img)) stutter_edges.emplace_back(s, t);
-    }
-  cert.sigma.assign(cn, 0);
-  if (!stutter_edges.empty()) {
-    TransitionGraph sub = TransitionGraph::from_edges(cn, std::move(stutter_edges));
-    Scc order(sub);  // DAG: every component is a singleton; ids reverse-topological
-    std::vector<StateId> by_comp(cn);
-    for (StateId s = 0; s < cn; ++s) by_comp[order.component(s)] = s;
-    for (std::size_t comp = 0; comp < order.count(); ++comp) {
-      StateId s = by_comp[comp];
-      for (StateId t : sub.successors(s))
-        cert.sigma[s] = std::max(cert.sigma[s], cert.sigma[t] + 1);
-    }
-  }
+  // sigma over the global stutter subgraph (acyclic by the
+  // stabilization verdict).
+  auto sigma = stutter_sigma(rc);
+  if (!sigma) return std::nullopt;
+  cert.sigma = std::move(*sigma);
   return cert;
+}
+
+std::optional<std::vector<std::uint64_t>> stutter_sigma(const RefinementChecker& rc,
+                                                        const util::DenseBitset* region) {
+  const TransitionGraph& c = rc.c_graph();
+  const TransitionGraph& a = rc.a_graph();
+  const StateId cn = c.num_states();
+  std::vector<StateId> buf;
+  auto stutter_succ = [&](StateId s) -> std::span<const StateId> {
+    buf.clear();
+    if (region && !region->test(s)) return buf;
+    const StateId is = rc.image(s);
+    for (StateId t : c.successors(s))
+      if ((!region || region->test(t)) && rc.image(t) == is) buf.push_back(t);
+    if (!buf.empty() && a.is_deadlock(is)) buf.clear();
+    return buf;
+  };
+  std::vector<std::uint64_t> sigma(cn, 0);
+  // Without stutter edges (always so under an identity alpha) sigma is
+  // all zeros: one filtered pass, stopping at the first edge, instead
+  // of a Tarjan pass and a rank pass over all of C.
+  StateId first = 0;
+  while (first < cn && stutter_succ(first).empty()) ++first;
+  if (first == cn) return sigma;
+  // Acyclic => singleton components, numbered in reverse topological
+  // order: visiting them by increasing id sees every successor's rank
+  // already final.
+  const LazyScc order(cn, stutter_succ);
+  if (order.nontrivial_count() != 0) return std::nullopt;
+  std::vector<StateId> by_comp(cn);
+  for (StateId s = 0; s < cn; ++s) by_comp[order.component(s)] = s;
+  for (StateId s : by_comp)
+    for (StateId t : stutter_succ(s)) sigma[s] = std::max(sigma[s], sigma[t] + 1);
+  return sigma;
 }
 
 CheckResult validate_certificate(const TransitionGraph& c, const TransitionGraph& a,

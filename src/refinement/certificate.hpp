@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "refinement/checker.hpp"
+#include "util/bitset.hpp"
 
 namespace cref {
 
@@ -44,6 +45,14 @@ struct StabilizationCertificate {
 /// nullopt if the system is not stabilizing (in which case
 /// rc.stabilizing_to() carries the counterexample).
 std::optional<StabilizationCertificate> make_certificate(const RefinementChecker& rc);
+
+/// The stutter rank sigma of every certificate that carries one: the
+/// longest-path index (per C-state) of the subgraph of C's stutter edges
+/// whose image is not an A-deadlock, restricted to edges with both
+/// endpoints in `region` when given. nullopt if that subgraph has a
+/// cycle — then no strictly decreasing sigma exists.
+std::optional<std::vector<std::uint64_t>> stutter_sigma(
+    const RefinementChecker& rc, const util::DenseBitset* region = nullptr);
 
 /// Independently validates `cert` against the raw graphs — shares no
 /// analysis code with the generator. `alpha_table` empty means identity.

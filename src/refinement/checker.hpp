@@ -35,8 +35,10 @@ class RefinementChecker {
   /// `a` must have the same shape.
   RefinementChecker(const System& c, const System& a, const EngineOptions& opts = {});
 
-  /// Hand-built automata (tests, Figure 1). `alpha_table` maps every
-  /// C-state to an A-state; empty means identity (same state count).
+  /// Hand-built automata (tests, Figure 1, graph jobs of the service).
+  /// `alpha_table` maps every C-state to an A-state; empty means
+  /// identity (same state count). Throws std::invalid_argument for an
+  /// alpha entry or an initial state outside its space.
   RefinementChecker(TransitionGraph c, TransitionGraph a, std::vector<StateId> c_init,
                     std::vector<StateId> a_init, std::vector<StateId> alpha_table = {});
 
@@ -89,12 +91,13 @@ class RefinementChecker {
     return table.empty() ? s : table[s];
   }
 
-  /// Membership bitset of R_A = reachable(A, I_A) (computed lazily,
-  /// thread-safely).
+  /// Membership bitsets of reachable(C, I_C) and R_A = reachable(A, I_A)
+  /// (computed lazily, thread-safely; shared with the engine's checks).
+  const util::DenseBitset& c_reachable_set() const { return engine_.c_reachable_set(); }
   const util::DenseBitset& a_reachable() const { return engine_.a_reachable(); }
 
-  /// SCC decomposition of C (computed lazily, thread-safely). Its
-  /// numbering equals Scc's on c_graph().
+  /// SCC decomposition of C (computed lazily, thread-safely), numbered
+  /// per LazyScc's contract over c_graph().
   const LazyScc& c_scc() const { return engine_.c_scc(); }
 
  private:

@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "refinement/reachability.hpp"
 #include "refinement/scan.hpp"
@@ -13,8 +14,52 @@ namespace cref {
 using detail::PhaseTimer;
 
 namespace {
+
 constexpr LazyScc::CompId kUndef32 = std::numeric_limits<LazyScc::CompId>::max();
+
+/// Transitive closure of the condensation of `g` under `scc` (which must
+/// decompose `g`): bit `(c, d)` is set iff some state of component c has
+/// a path of length >= 1 to some state of component d. In particular the
+/// diagonal bit (c, c) is set exactly for components that contain a
+/// cycle — nontrivial, or a singleton whose state has a self-loop —
+/// matching the per-query BFS fallback's path-of-length->=1 semantics.
+///
+/// Ids are in reverse topological order (cross edges go from higher to
+/// lower id), so a single pass in increasing id order sees every
+/// successor component's row already closed; each union is a
+/// word-parallel or_row.
+util::BitMatrix condensation_closure(const TransitionGraph& g, const LazyScc& scc) {
+  util::BitMatrix reach(scc.count(), scc.count());
+  // Bucket states by component so each row is closed in one visit.
+  std::vector<std::vector<StateId>> members(scc.count());
+  for (StateId s = 0; s < g.num_states(); ++s) members[scc.component(s)].push_back(s);
+  for (std::size_t comp = 0; comp < scc.count(); ++comp) {
+    if (scc.nontrivial(comp)) reach.set(comp, comp);
+    for (StateId s : members[comp]) {
+      for (StateId t : g.successors(s)) {
+        std::size_t ct = scc.component(t);
+        // Setting the bit unconditionally also marks a singleton
+        // component self-reachable when its state has a self-loop.
+        reach.set(comp, ct);
+        if (ct == comp) continue;
+        reach.or_row(comp, ct);
+      }
+    }
+  }
+  return reach;
 }
+
+/// Throws std::invalid_argument naming the first entry of `states` that
+/// lies outside [0, n).
+void check_in_range(const std::vector<StateId>& states, StateId n, const char* what) {
+  for (std::size_t i = 0; i < states.size(); ++i)
+    if (states[i] >= n)
+      throw std::invalid_argument("OnTheFlyChecker: " + std::string(what) + " " +
+                                  std::to_string(i) + " is " + std::to_string(states[i]) +
+                                  ", out of range (num_states = " + std::to_string(n) + ")");
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // LazyScc
@@ -134,6 +179,9 @@ OnTheFlyChecker::OnTheFlyChecker(TransitionGraph c, TransitionGraph a,
     throw std::invalid_argument("OnTheFlyChecker: alpha table size mismatch");
   if (alpha_table_.empty() && c_graph_.num_states() != a_.num_states())
     throw std::invalid_argument("OnTheFlyChecker: identity alpha needs equal state counts");
+  check_in_range(alpha_table_, a_.num_states(), "alpha table entry");
+  check_in_range(c_init_list_, c_graph_.num_states(), "C initial state");
+  check_in_range(a_init_, a_.num_states(), "A initial state");
   n_ = c_graph_.num_states();
   if (n_ >= kUndef32)
     throw std::length_error("OnTheFlyChecker: C exceeds the 2^32 - 1 state budget");
@@ -204,27 +252,11 @@ const util::DenseBitset& OnTheFlyChecker::c_reachable_set() const {
   std::call_once(reach_once_, [&] {
     const util::DenseBitset& init = c_initial_set();
     PhaseTimer timer(reach_ms_);
-    // Word-parallel frontier sweep, exactly reachable_from() with lazy
-    // successor generation: the sweep only ever expands states inside
-    // the reachable region, so its cost is proportional to that region,
-    // not to Sigma.
-    util::DenseBitset visited = init;
-    util::DenseBitset frontier = init;
-    util::DenseBitset next(n_);
+    // Lazy successor generation: the sweep only ever expands states
+    // inside the reachable region, so its cost is proportional to that
+    // region, not to Sigma.
     Workspace w;
-    while (frontier.any()) {
-      next.reset_all();
-      frontier.for_each_set([&](std::size_t s) {
-        for (StateId t : successors(s, w)) {
-          if (!visited.test(t)) {
-            visited.set(t);
-            next.set(t);
-          }
-        }
-      });
-      std::swap(frontier, next);
-    }
-    c_reach_ = std::move(visited);
+    c_reach_ = reachable_set(init, [&](StateId s) { return successors(s, w); });
   });
   return *c_reach_;
 }
@@ -233,9 +265,9 @@ void OnTheFlyChecker::ensure_a_closure() const {
   std::call_once(a_closure_once_, [&] {
     {
       PhaseTimer timer(a_scc_ms_);
-      a_scc_.emplace(a_);
+      a_scc_.emplace(a_.num_states(), [&](StateId s) { return a_.successors(s); });
     }
-    const Scc& scc = *a_scc_;
+    const LazyScc& scc = *a_scc_;
     if (scc.count() > opts_.max_comps_for_closure) {
       a_closure_.emplace(AClosure{{}, /*too_big=*/true});
       return;
@@ -253,7 +285,7 @@ const util::DenseBitset& OnTheFlyChecker::a_reachable() const {
 bool OnTheFlyChecker::reachable_in_a(StateId src, StateId dst) const {
   ensure_a_closure();
   if (!a_closure_->too_big) {
-    const Scc& scc = *a_scc_;
+    const LazyScc& scc = *a_scc_;
     return a_closure_->reach.test(scc.component(src), scc.component(dst));
   }
   // Fallback: plain BFS on the (materialized) A graph; purely local
@@ -329,77 +361,6 @@ EdgeStats OnTheFlyChecker::edge_stats() const {
 // ---------------------------------------------------------------------------
 // Witness construction (failure paths only; these may allocate O(n))
 
-std::optional<Trace> OnTheFlyChecker::path_from_init(StateId target) const {
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  const util::DenseBitset& init = c_initial_set();
-  std::vector<std::uint32_t> parent(n_, kNone);
-  util::DenseBitset seen(n_);
-  std::deque<StateId> queue;
-  bool target_is_source = false;
-  // Ascending enumeration, so both successor sources seed the same
-  // queue and find the same path.
-  init.for_each_set([&](std::size_t s) {
-    seen.set(s);
-    queue.push_back(s);
-    if (static_cast<StateId>(s) == target) target_is_source = true;
-  });
-  if (target_is_source) return Trace{{target}};
-  Workspace w;
-  while (!queue.empty()) {
-    StateId s = queue.front();
-    queue.pop_front();
-    for (StateId t : successors(s, w)) {
-      if (seen.test(t)) continue;
-      seen.set(t);
-      parent[t] = static_cast<std::uint32_t>(s);
-      if (t == target) {
-        Trace tr;
-        for (StateId cur = t;; cur = parent[cur]) {
-          tr.states.push_back(cur);
-          if (parent[cur] == kNone) break;
-        }
-        std::reverse(tr.states.begin(), tr.states.end());
-        return tr;
-      }
-      queue.push_back(t);
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Trace> OnTheFlyChecker::path_within(
-    const LazyScc::SuccFn& succ, StateId source, StateId target,
-    const std::function<bool(StateId)>& allowed) const {
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  if (!allowed(source)) return std::nullopt;
-  std::vector<std::uint32_t> parent(n_, kNone);
-  util::DenseBitset seen(n_);
-  std::deque<StateId> queue;
-  seen.set(source);
-  queue.push_back(source);
-  if (source == target) return Trace{{source}};
-  while (!queue.empty()) {
-    StateId s = queue.front();
-    queue.pop_front();
-    for (StateId t : succ(s)) {
-      if (seen.test(t) || !allowed(t)) continue;
-      seen.set(t);
-      parent[t] = static_cast<std::uint32_t>(s);
-      if (t == target) {
-        Trace tr;
-        for (StateId cur = t;; cur = parent[cur]) {
-          tr.states.push_back(cur);
-          if (parent[cur] == kNone) break;
-        }
-        std::reverse(tr.states.begin(), tr.states.end());
-        return tr;
-      }
-      queue.push_back(t);
-    }
-  }
-  return std::nullopt;
-}
-
 Trace OnTheFlyChecker::cycle_witness(StateId s, StateId t) const {
   // Present the cycle as s -> t -> ... -> s, with the back path found
   // inside s's component of the FULL graph.
@@ -409,7 +370,7 @@ Trace OnTheFlyChecker::cycle_witness(StateId s, StateId t) const {
   auto allowed = [&](StateId u) { return scc.component(u) == scc.component(s); };
   Trace cycle;
   cycle.states.push_back(s);
-  if (auto back = path_within(succ, t, s, allowed))
+  if (auto back = shortest_path(n_, {t}, s, succ, allowed))
     cycle.states.insert(cycle.states.end(), back->states.begin(), back->states.end());
   else
     cycle.states.push_back(t);
@@ -432,7 +393,7 @@ std::optional<Trace> OnTheFlyChecker::find_stutter_cycle(
   // source's C-component lies on no cycle at all. Dropping such edges
   // (and every edge out of a trivial component, without generating its
   // successors) changes no nontrivial component of the stutter
-  // subgraph, and path_within's same-component BFS never took them —
+  // subgraph, and the same-component witness BFS never took them —
   // the first cyclic state, its successor order and the witness are
   // unchanged. c_scc() is already built by every caller.
   const LazyScc& cscc = c_scc();
@@ -470,8 +431,8 @@ std::optional<Trace> OnTheFlyChecker::find_stutter_cycle(
   LazyScc sscc(n_, stutter_succ);
   for (StateId s = 0; s < n_; ++s) {
     if (!sscc.nontrivial(sscc.component(s))) continue;
-    // Copy s's stutter successors out of the shared buffer: path_within
-    // below re-enters stutter_succ, which would clobber the span.
+    // Copy s's stutter successors out of the shared buffer: the witness
+    // BFS below re-enters stutter_succ, which would clobber the span.
     std::vector<StateId> s_succs;
     {
       auto sp = stutter_succ(s);
@@ -480,7 +441,7 @@ std::optional<Trace> OnTheFlyChecker::find_stutter_cycle(
     auto allowed = [&](StateId u) { return sscc.component(u) == sscc.component(s); };
     for (StateId t : s_succs) {
       if (sscc.component(t) != sscc.component(s)) continue;
-      if (auto back = path_within(stutter_succ, t, s, allowed)) {
+      if (auto back = shortest_path(n_, {t}, s, stutter_succ, allowed)) {
         Trace cycle;
         cycle.states.push_back(s);
         cycle.states.insert(cycle.states.end(), back->states.begin(), back->states.end());
@@ -545,9 +506,15 @@ CheckResult OnTheFlyChecker::check_region(const util::DenseBitset* filter,
 
   if (viol) {
     auto edge_witness = [&](StateId s, StateId t) {
-      // For init-scoped checks, exhibit a run from the initial states.
+      // For init-scoped checks, exhibit a run from the initial states
+      // (seeded in ascending order, so both successor sources find the
+      // same path).
       if (filter) {
-        if (auto path = path_from_init(s)) {
+        std::vector<StateId> init;
+        c_initial_set().for_each_set([&](std::size_t i) { init.push_back(i); });
+        Workspace w;
+        auto succ = [&](StateId u) { return successors(u, w); };
+        if (auto path = shortest_path(n_, init, s, succ)) {
           path->states.push_back(t);
           return *path;
         }

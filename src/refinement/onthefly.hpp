@@ -14,17 +14,24 @@
 #include "core/system.hpp"
 #include "refinement/check_result.hpp"
 #include "refinement/engine.hpp"
-#include "refinement/scc.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitset.hpp"
 
 namespace cref {
 
-/// Iterative Tarjan SCC decomposition over an IMPLICITLY presented graph:
-/// successor lists are pulled from a callback instead of a CSR slice, so
-/// the transition relation is never materialized. This is scc.cpp's
-/// explicit-frame DFS with the storage turned inside out for 10^8-state
-/// sweeps:
+/// Strongly-connected-component decomposition — the repo's only one.
+/// The cycle structure of the concrete system is what every relation in
+/// the paper reduces to on finite automata: an infinite computation of a
+/// finite system eventually traverses only edges that lie on cycles, so
+/// "finitely many omissions on every computation" (convergence
+/// isomorphism) and "has a suffix that ..." (stabilization) are both
+/// conditions on intra-SCC edges.
+///
+/// Iterative Tarjan (state spaces run to 10^8 states, so no recursion)
+/// over an implicitly presented graph: successor lists are pulled from a
+/// callback — a CSR slice, a filtered view of one, or a System's
+/// successor kernel — so the transition relation need not be
+/// materialized. Storage:
 ///
 /// - One 4-byte word per state (`data_`), serving as the DFS index while
 ///   the state is gray (on the Tarjan stack) and overwritten with the
@@ -36,16 +43,24 @@ namespace cref {
 ///   push) and parked on a shared edge stack holding the lists of the
 ///   current DFS path only; it is truncated as frames pop.
 ///
-/// Per-state sizes are dropped (the relations only ever ask "size >= 2"),
-/// leaving a `nontrivial` bitset over components. Traversal order — roots
-/// ascending, successors in the callback's (ascending) order — is
-/// identical to Scc on the materialized graph, so component numbering is
-/// too: reverse topological, cross edges high id -> low id. That parity
-/// is pinned by tests; certificate emitters read component() as the
-/// Tarjan rank of C.
+/// Per-component sizes are dropped (the relations only ever ask "size >=
+/// 2"), leaving a `nontrivial` bitset over components.
+///
+/// Numbering contract: roots are taken in ascending state order and
+/// successors in the callback's order, and a component's id is the
+/// number of components popped before it. Ids are therefore a reverse
+/// topological order of the condensation (an edge between different
+/// components goes from a higher id to a lower id), and equal successor
+/// lists give equal numberings whatever their source. Tests pin this;
+/// certificate emitters read component() as the Tarjan rank of C, and
+/// the DAG orderings behind sigma and the A-side closure rely on the
+/// id order.
 class LazyScc {
  public:
-  using CompId = Scc::CompId;
+  /// 4-byte ids keep the decomposition at 4 bytes per state. The top
+  /// value is reserved as the "unvisited" sentinel, so graphs must have
+  /// fewer than 2^32 - 1 states.
+  using CompId = std::uint32_t;
 
   /// Returns the sorted, distinct, non-self successor list of `s`. The
   /// span only needs to stay valid until the next call (the constructor
@@ -61,7 +76,8 @@ class LazyScc {
   std::size_t component(StateId s) const { return data_[s]; }
   std::size_t count() const { return count_; }
 
-  /// True iff component `c` has >= 2 states.
+  /// True iff component `c` has >= 2 states (a singleton with a
+  /// self-loop stays trivial).
   bool nontrivial(std::size_t c) const { return nontrivial_.test(c); }
   std::size_t nontrivial_count() const { return nontrivial_.count(); }
 
@@ -132,8 +148,8 @@ struct OnTheFlyStats {
 /// which RefinementChecker instantiates for explicit checking). Cycle
 /// structure comes from LazyScc above either way. The A side — which
 /// must be small, it is the spec — is materialized and quotiented once
-/// (Scc + condensation_closure bit matrix, per-query BFS fallback above
-/// max_comps_for_closure).
+/// (LazyScc over its CSR + condensation-closure bit matrix, per-query
+/// BFS fallback above max_comps_for_closure).
 ///
 /// Determinism: the shared structures are built once, thread-safely, on
 /// first use; the per-check scans over T_C then run across an
@@ -166,7 +182,9 @@ class OnTheFlyChecker {
 
   /// Graph-backed: C's successors are read from the given CSR (taken
   /// over, not copied). `alpha_table` maps every C-state to an A-state;
-  /// empty means identity (same state count).
+  /// empty means identity (same state count). Throws
+  /// std::invalid_argument, naming the offending index, for an alpha
+  /// entry or an initial state outside its space.
   OnTheFlyChecker(TransitionGraph c, TransitionGraph a, std::vector<StateId> c_init,
                   std::vector<StateId> a_init, std::vector<StateId> alpha_table = {});
 
@@ -278,9 +296,6 @@ class OnTheFlyChecker {
   std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter,
                                           const util::DenseBitset* exempt_scope) const;
   Trace cycle_witness(StateId s, StateId t) const;
-  std::optional<Trace> path_from_init(StateId target) const;
-  std::optional<Trace> path_within(const LazyScc::SuccFn& succ, StateId source, StateId target,
-                                   const std::function<bool(StateId)>& allowed) const;
 
   bool graph_backed_ = false;
   std::optional<System> c_sys_;       // system-backed source (copied)
@@ -302,7 +317,7 @@ class OnTheFlyChecker {
   mutable std::once_flag reach_once_;
   mutable std::optional<util::DenseBitset> c_reach_;
   mutable std::once_flag a_closure_once_;
-  mutable std::optional<Scc> a_scc_;
+  mutable std::optional<LazyScc> a_scc_;
   mutable std::optional<AClosure> a_closure_;
   mutable std::once_flag a_reach_once_;
   mutable std::optional<util::DenseBitset> a_reach_;

@@ -24,8 +24,9 @@ std::size_t resolve_thread_count(std::size_t requested = 0);
 /// per-thread partial results are merged by state id, and the CSR build
 /// writes each state's slice at a precomputed offset.
 ///
-/// Set the options on a RefinementChecker BEFORE the first check; the
-/// options are not synchronized against concurrently running checks.
+/// Set the options on an engine (OnTheFlyChecker, or RefinementChecker,
+/// which forwards them) BEFORE the first check; the options are not
+/// synchronized against concurrently running checks.
 struct EngineOptions {
   /// Worker threads for the scans. 0 = one per hardware thread.
   /// 1 = fully serial (no threads spawned).

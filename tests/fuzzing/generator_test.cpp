@@ -30,7 +30,7 @@ void expect_well_formed(const FuzzCase& fc, const std::string& label) {
   for (StateId s : fc.c_init) EXPECT_LT(s, fc.c.num_states()) << label;
   for (StateId s : fc.a_init) EXPECT_LT(s, fc.a.num_states()) << label;
   // No self-loops anywhere: a no-op execution is not a step, and the
-  // cycle semantics of Scc vs naive closure diverge on them.
+  // cycle semantics of LazyScc vs naive closure diverge on them.
   for (const TransitionGraph* g : {&fc.c, &fc.a, &fc.w})
     for (StateId s = 0; s < g->num_states(); ++s)
       for (StateId t : g->successors(s)) EXPECT_NE(s, t) << label;

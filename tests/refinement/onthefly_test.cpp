@@ -1,7 +1,8 @@
-// Tests of the on-the-fly engine: LazyScc must number components exactly
-// like the explicit Scc (that parity is what lets the quotient reasoning
-// carry over), and OnTheFlyChecker must be verdict-, reason- and
-// witness-identical to RefinementChecker on every relation — over seeded
+// Tests of the on-the-fly engine: LazyScc's partition and reverse
+// topological numbering must match a brute-force reachability closure
+// (the quotient reasoning rests on both), and OnTheFlyChecker must be
+// verdict-, reason- and witness-identical to RefinementChecker on every
+// relation — over seeded
 // random instances, the shipped ring protocols through their
 // abstractions, absint-style state filters, and divergence controls.
 // The concurrency test runs under -fsanitize=thread in CI.
@@ -15,7 +16,6 @@
 
 #include "refinement/checker.hpp"
 #include "refinement/random_systems.hpp"
-#include "refinement/scc.hpp"
 #include "ring/btr.hpp"
 #include "ring/kstate.hpp"
 #include "ring/three_state.hpp"
@@ -30,21 +30,49 @@ LazyScc::SuccFn graph_succ(const TransitionGraph& g) {
 }
 
 // ---------------------------------------------------------------------
-// LazyScc vs Scc: identical numbering (not just identical partitions).
+// LazyScc vs a brute-force reachability closure: same partition, and ids
+// dense and in reverse topological order of the condensation.
 // ---------------------------------------------------------------------
 
 void expect_same_decomposition(const TransitionGraph& g, const char* what) {
-  Scc ex(g);
-  LazyScc lz(g.num_states(), graph_succ(g));
-  ASSERT_EQ(ex.count(), lz.count()) << what;
-  for (StateId s = 0; s < g.num_states(); ++s)
-    EXPECT_EQ(ex.component(s), lz.component(s)) << what << " state " << s;
-  for (std::size_t c = 0; c < ex.count(); ++c)
-    EXPECT_EQ(ex.size_of(c) >= 2, lz.nontrivial(c)) << what << " comp " << c;
-  for (StateId s = 0; s < g.num_states(); ++s)
-    for (StateId t : g.successors(s))
-      EXPECT_EQ(ex.edge_on_cycle(s, t), lz.edge_on_cycle(s, t))
+  const StateId n = g.num_states();
+  // reach[s][t]: t is reachable from s by a path of length >= 0.
+  std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
+  for (StateId s = 0; s < n; ++s) {
+    std::vector<StateId> stack{s};
+    reach[s][s] = 1;
+    while (!stack.empty()) {
+      const StateId u = stack.back();
+      stack.pop_back();
+      for (StateId t : g.successors(u))
+        if (!reach[s][t]) {
+          reach[s][t] = 1;
+          stack.push_back(t);
+        }
+    }
+  }
+  LazyScc lz(n, graph_succ(g));
+  std::vector<std::size_t> members(lz.count(), 0);
+  for (StateId s = 0; s < n; ++s) {
+    ASSERT_LT(lz.component(s), lz.count()) << what << " state " << s;
+    ++members[lz.component(s)];
+    for (StateId t = 0; t < n; ++t)
+      EXPECT_EQ(lz.component(s) == lz.component(t), reach[s][t] && reach[t][s])
+          << what << " states " << s << ", " << t;
+  }
+  for (std::size_t c = 0; c < lz.count(); ++c) {
+    EXPECT_GE(members[c], 1u) << what << " comp " << c << " is empty";
+    EXPECT_EQ(members[c] >= 2, lz.nontrivial(c)) << what << " comp " << c;
+  }
+  for (StateId s = 0; s < n; ++s)
+    for (StateId t : g.successors(s)) {
+      EXPECT_EQ(lz.edge_on_cycle(s, t), s != t && reach[t][s])
           << what << " edge (" << s << ", " << t << ")";
+      if (lz.component(s) != lz.component(t)) {
+        EXPECT_GT(lz.component(s), lz.component(t))
+            << what << " cross edge (" << s << ", " << t << ")";
+      }
+    }
 }
 
 TEST(LazySccTest, MatchesExplicitNumberingOnHandcraftedGraphs) {
@@ -373,6 +401,27 @@ TEST(OnTheFlyCheckerTest, RejectsMismatchedAlphaTable) {
   EXPECT_THROW(OnTheFlyChecker(c, a, {}, {}, std::vector<StateId>{0}),
                std::invalid_argument);
   EXPECT_THROW(OnTheFlyChecker(c, a, {}, {}), std::invalid_argument);
+}
+
+TEST(OnTheFlyCheckerTest, RejectsOutOfRangeAlphaAndInitialStates) {
+  auto g = [] { return TransitionGraph::from_edges(2, {{0, 1}}); };
+  auto message = [&](std::vector<StateId> c_init, std::vector<StateId> a_init,
+                     std::vector<StateId> alpha) -> std::string {
+    try {
+      RefinementChecker rc(g(), g(), std::move(c_init), std::move(a_init), std::move(alpha));
+      (void)rc.everywhere_refinement();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  // Each message names the offending index and value.
+  EXPECT_NE(message({0}, {0}, {0, StateId{1} << 40}).find("alpha table entry 1 is 1099511627776"),
+            std::string::npos);
+  EXPECT_NE(message({0}, {0}, {2, 0}).find("alpha table entry 0 is 2"), std::string::npos);
+  EXPECT_NE(message({1, 7}, {0}, {}).find("C initial state 1 is 7"), std::string::npos);
+  EXPECT_NE(message({0}, {2}, {}).find("A initial state 0 is 2"), std::string::npos);
+  EXPECT_EQ(message({0, 1}, {1}, {1, 0}), "no exception");
 }
 
 TEST(OnTheFlyCheckerTest, StatsReportStructureSizes) {

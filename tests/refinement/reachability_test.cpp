@@ -53,18 +53,29 @@ TEST(FindPathTest, Unreachable) {
   EXPECT_FALSE(find_path(g, {0}, 2).has_value());
 }
 
+// The shared BFS with an allowed-predicate, the form the engine's
+// same-component witness search uses.
+std::optional<Trace> path_within(const TransitionGraph& g, StateId source, StateId target,
+                                 const util::DenseBitset& allowed) {
+  return shortest_path(
+      g.num_states(), {source}, target, [&g](StateId s) { return g.successors(s); },
+      [&allowed](StateId s) { return allowed.test(s); });
+}
+
 TEST(FindPathWithinTest, RespectsAllowedSet) {
   // 0 -> 1 -> 3 and 0 -> 2 -> 3; forbid 1.
   TransitionGraph g = TransitionGraph::from_edges(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
-  auto path = find_path_within(g, 0, 3, bits({1, 0, 1, 1}));
+  auto path = path_within(g, 0, 3, bits({1, 0, 1, 1}));
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->states, (std::vector<StateId>{0, 2, 3}));
-  EXPECT_FALSE(find_path_within(g, 0, 3, bits({1, 0, 0, 1})).has_value());
+  EXPECT_FALSE(path_within(g, 0, 3, bits({1, 0, 0, 1})).has_value());
 }
 
 TEST(FindPathWithinTest, ForbiddenEndpointsFail) {
   TransitionGraph g = TransitionGraph::from_edges(2, {{0, 1}});
-  EXPECT_FALSE(find_path_within(g, 0, 1, bits({0, 1})).has_value());
+  EXPECT_FALSE(path_within(g, 0, 1, bits({0, 1})).has_value());
+  EXPECT_FALSE(path_within(g, 0, 1, bits({1, 0})).has_value());
+  EXPECT_FALSE(path_within(g, 1, 1, bits({1, 0})).has_value());
 }
 
 TEST(ReachabilityTest, CrossesWordBoundaries) {

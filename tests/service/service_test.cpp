@@ -190,6 +190,26 @@ TEST(ServiceBatchTest, MismatchedGclSpacesThrow) {
   EXPECT_NE(outs[0].result.reason.find("service:"), std::string::npos);
 }
 
+TEST(ServiceBatchTest, MalformedGraphJobFailsAloneInBatch) {
+  // An alpha entry outside Sigma_A: the job is answered with a service
+  // failure naming the entry, and every other job of the batch is still
+  // answered exactly as it is alone.
+  std::vector<Job> jobs = sample_jobs();
+  const auto g = TransitionGraph::from_edges(2, {{0, 1}});
+  const std::size_t bad = jobs.size() / 2;
+  jobs.insert(jobs.begin() + static_cast<std::ptrdiff_t>(bad),
+              Job::from_graphs(Relation::kEverywhere, g, {0}, g, {0}, {0, StateId{1} << 40}));
+  CheckService svc{{}};
+  const std::vector<JobOutcome> got = svc.run_batch(jobs);
+  ASSERT_EQ(got.size(), jobs.size());
+  EXPECT_FALSE(got[bad].result.holds);
+  EXPECT_EQ(got[bad].result.reason.rfind("service: ", 0), 0u) << got[bad].result.reason;
+  EXPECT_NE(got[bad].result.reason.find("alpha table entry 1"), std::string::npos);
+  CheckService alone{{}};
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    if (i != bad) expect_same_answer(got[i], alone.run(jobs[i]));
+}
+
 TEST(ServiceBatchTest, OversizedSystemsAreCachedWithoutCertificates) {
   ServiceOptions o;
   o.max_cert_states = 2;  // everything below is "too big" to certify

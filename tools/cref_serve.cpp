@@ -16,11 +16,16 @@
 //   paths are resolved relative to the batch file's directory (or the
 //   working directory when reading stdin); '#' starts a comment line.
 //
+// A request that cannot become a job — a malformed line, an unknown
+// relation, a missing program file or one that does not parse — is
+// answered with an error line in its place; the rest of the batch is
+// still answered, and the run exits 1 at the end.
+//
 // --twice re-answers the whole batch with a SECOND service instance
 // sharing only the on-disk cache — an end-to-end disk round trip.
-// --assert-warm then exits 1 unless every second-pass answer was a
-// validated cache hit with bytes identical to the first pass (the
-// tier-1 CI step runs exactly that).
+// --assert-warm then exits 1 unless every second-pass answer of a
+// well-formed request was a validated cache hit with bytes identical to
+// the first pass (the tier-1 CI step runs exactly that).
 
 #include <cstdio>
 #include <filesystem>
@@ -51,12 +56,14 @@ int usage() {
       "  --twice          answer the batch again via a fresh service\n"
       "                   instance sharing the cache dir\n"
       "  --assert-warm    with --twice: exit 1 unless the second pass is\n"
-      "                   all validated cache hits, byte-identical\n");
+      "                   all validated cache hits, byte-identical\n"
+      "  exit status: 1 if any request failed (answered with an error line)\n");
   return 2;
 }
 
 struct Request {
   std::string relation, c_path, a_path;
+  std::string error;  // non-empty: the request failed and has no job
 };
 
 std::string read_file(const std::filesystem::path& p) {
@@ -117,6 +124,19 @@ std::string answer_line(const Request& req, const service::JobOutcome& o, bool j
   return out.str();
 }
 
+std::string error_line(const Request& req, bool json) {
+  std::ostringstream out;
+  if (json) {
+    out << "{\"relation\": \"" << json_escape(req.relation) << "\", \"c\": \""
+        << json_escape(req.c_path) << "\", \"a\": \"" << json_escape(req.a_path)
+        << "\", \"error\": \"" << json_escape(req.error) << "\"}";
+  } else {
+    out << req.relation << ' ' << req.c_path << ' ' << req.a_path << " ERROR error=\""
+        << req.error << '"';
+  }
+  return out.str();
+}
+
 std::vector<Request> parse_requests(std::istream& in) {
   std::vector<Request> reqs;
   std::string line;
@@ -124,8 +144,7 @@ std::vector<Request> parse_requests(std::istream& in) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss(line);
     Request r;
-    if (!(ss >> r.relation >> r.c_path >> r.a_path))
-      throw std::runtime_error("bad request line: " + line);
+    if (!(ss >> r.relation >> r.c_path >> r.a_path)) r.error = "bad request line: " + line;
     reqs.push_back(std::move(r));
   }
   return reqs;
@@ -157,47 +176,69 @@ int main(int argc, char** argv) {
       reqs = parse_requests(std::cin);
     }
 
+    // One job per well-formed request; job_of maps a request to its job.
     std::vector<service::Job> jobs;
-    jobs.reserve(reqs.size());
-    for (const Request& r : reqs)
-      jobs.push_back(service::Job::from_gcl(service::relation_from_string(r.relation),
-                                            read_file(base / r.c_path),
-                                            read_file(base / r.a_path)));
+    std::vector<std::size_t> job_of(reqs.size());
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      Request& r = reqs[i];
+      if (r.error.empty()) {
+        try {
+          jobs.push_back(service::Job::from_gcl(service::relation_from_string(r.relation),
+                                                read_file(base / r.c_path),
+                                                read_file(base / r.a_path)));
+          job_of[i] = jobs.size() - 1;
+        } catch (const std::exception& e) {
+          r.error = e.what();
+        }
+      }
+      if (!r.error.empty()) {
+        std::cerr << "cref_serve: request " << i << ": " << r.error << '\n';
+        ++failed;
+      }
+    }
+    auto print_pass = [&](int pass, const service::CheckService& svc,
+                          const std::vector<service::JobOutcome>& outs) {
+      for (std::size_t i = 0; i < reqs.size(); ++i)
+        std::cout << (reqs[i].error.empty() ? answer_line(reqs[i], outs[job_of[i]], json)
+                                            : error_line(reqs[i], json))
+                  << '\n';
+      const auto st = svc.stats();
+      std::cerr << "pass " << pass << ": " << jobs.size() << " jobs, " << st.hits << " hits, "
+                << st.misses << " misses, " << st.validation_failures
+                << " validation failures, " << failed << " failed requests\n";
+    };
 
     service::CheckService svc(opts);
     std::vector<service::JobOutcome> first = svc.run_batch(jobs);
-    for (std::size_t i = 0; i < reqs.size(); ++i)
-      std::cout << answer_line(reqs[i], first[i], json) << '\n';
-    auto st = svc.stats();
-    std::cerr << "pass 1: " << reqs.size() << " jobs, " << st.hits << " hits, " << st.misses
-              << " misses, " << st.validation_failures << " validation failures\n";
+    print_pass(1, svc, first);
 
     if (twice) {
       // A fresh instance: nothing survives but the on-disk store.
       service::CheckService warm(opts);
       std::vector<service::JobOutcome> second = warm.run_batch(jobs);
-      for (std::size_t i = 0; i < reqs.size(); ++i)
-        std::cout << answer_line(reqs[i], second[i], json) << '\n';
-      auto wst = warm.stats();
-      std::cerr << "pass 2: " << reqs.size() << " jobs, " << wst.hits << " hits, " << wst.misses
-                << " misses, " << wst.validation_failures << " validation failures\n";
+      print_pass(2, warm, second);
       if (cli.has("assert-warm")) {
         bool ok = true;
         for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (!second[i].cache_hit || !second[i].revalidated) {
+          if (!reqs[i].error.empty()) continue;  // failed requests have no answer to compare
+          const service::JobOutcome& cold = first[job_of[i]];
+          const service::JobOutcome& hot = second[job_of[i]];
+          if (!hot.cache_hit || !hot.revalidated) {
             std::cerr << "assert-warm: request " << i << " was not a validated hit\n";
             ok = false;
           }
-          if (answer_body(reqs[i], first[i]) != answer_body(reqs[i], second[i])) {
+          if (answer_body(reqs[i], cold) != answer_body(reqs[i], hot)) {
             std::cerr << "assert-warm: request " << i << " answer differs between passes\n";
             ok = false;
           }
         }
         if (!ok) return 1;
-        std::cerr << "assert-warm: all " << reqs.size()
+        std::cerr << "assert-warm: all " << jobs.size()
                   << " warm answers validated and byte-identical\n";
       }
     }
+    if (failed > 0) return 1;
   } catch (const std::exception& e) {
     std::cerr << "cref_serve: " << e.what() << '\n';
     return 1;
