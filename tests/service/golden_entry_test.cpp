@@ -5,18 +5,27 @@
 // these pin the emitted bytes (rho as Tarjan ranks, sigma as
 // longest-path ranks, compressed A-paths, init paths, separating sets),
 // so a rewrite of the traversals behind them cannot drift silently.
+// A fourth golden pins the static path's "refine-cert 1" blob and the
+// "cref-cache 2" entry that embeds it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "gcl/alpha.hpp"
+#include "gcl/parser.hpp"
+#include "prover/refine.hpp"
 #include "refinement/certificate.hpp"
 #include "refinement/checker.hpp"
 #include "service/cache.hpp"
 #include "service/certify.hpp"
 #include "service/relation.hpp"
+#include "service/service.hpp"
 
 namespace cref::service {
 namespace {
@@ -292,6 +301,78 @@ TEST(GoldenEntryTest, StabilizationCertificateRanks) {
   EXPECT_EQ(cert->a_parent, (std::vector<StateId>{k, 0, 1, k, k}));
   EXPECT_EQ(cert->a_depth, (std::vector<std::uint32_t>{0, 1, 2, 0, 0}));
   EXPECT_EQ(cert->a_reachable, (std::vector<char>{1, 1, 1, 0, 0}));
+}
+
+// The convergence pair the static prover certifies in
+// static_refine_test.cpp: every action Exact under the identity alpha.
+const char* kStepper = R"(system stepper {
+  var x : 0..3;
+  action down @0 : x > 0 -> x := x - 1;
+  init : x == 3;
+})";
+
+const char* kWalker = R"(system walker {
+  var x : 0..3;
+  action down @0 : x != 0 -> x := x - 1;
+})";
+
+const char* kStepperBlob =
+    "refine-cert 1\n"
+    "c-system stepper\n"
+    "a-system walker\n"
+    "budget 1048576\n"
+    "alpha 3\n"
+    "alpha identity {\n"
+    "  x := x;\n"
+    "}\n"
+    "actions 1\n"
+    "action exact 0 - 0\n"
+    "stutter-components 0\n"
+    "visible-components 0\n"
+    "has-invariant 0\n"
+    "compressed 0\n"
+    "supports 1\n"
+    "support 1 0\n"
+    "end\n";
+
+TEST(GoldenEntryTest, StaticRefineCertificateAndItsEntry) {
+  const gcl::SystemAst c = gcl::parse(kStepper);
+  const gcl::SystemAst a = gcl::parse(kWalker);
+  const prover::RefineResult r = prover::prove_refinement(c, a, gcl::identity_alpha(c, a));
+  ASSERT_EQ(r.verdict, prover::RefineVerdict::Proved);
+  const std::string blob = prover::serialize_refinement_certificate(*r.certificate);
+  EXPECT_EQ(blob, kStepperBlob);
+
+  ServiceOptions o;
+  o.cache_dir = (std::filesystem::path(::testing::TempDir()) / "cref-golden-refine").string();
+  std::filesystem::remove_all(o.cache_dir);
+  const Job job = Job::from_gcl(Relation::kConvergence, kStepper, kWalker);
+  CheckService(o).run(job);
+  std::ostringstream entry;
+  entry << std::ifstream(std::filesystem::path(o.cache_dir) / (job.key.hex() + ".entry"),
+                         std::ios::binary)
+               .rdbuf();
+  EXPECT_EQ(entry.str(), std::string("cref-cache 2\n"
+                                      "relation convergence\n"
+                                      "holds 1\n"
+                                      "reason statically certified: [stepper <~ walker]\n"
+                                      "witness 0\n"
+                                      "cert 1\n"
+                                      "positive 1\n"
+                                      "rho 0\n"
+                                      "sigma 0\n"
+                                      "region 0\n"
+                                      "compressed 0\n"
+                                      "stab-reach 0\n"
+                                      "stab-parent 0\n"
+                                      "stab-depth 0\n"
+                                      "stab-rho 0\n"
+                                      "stab-sigma 0\n"
+                                      "kind deadlock\n"
+                                      "init-path 0\n"
+                                      "a-closed 0\n"
+                                      "refine 17\n") +
+                              kStepperBlob + "end\n");
 }
 
 }  // namespace
