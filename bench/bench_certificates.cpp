@@ -29,7 +29,7 @@ std::vector<StateId> table_of(const Abstraction& a) {
 void row(util::Table& t, const char* name, int n, RefinementChecker rc,
          const Abstraction* alpha) {
   Timer gen_timer;
-  auto cert = make_certificate(rc);
+  auto cert = make_certificate(rc, rc.stabilizing_to());
   double gen_ms = gen_timer.ms();
   if (!cert) {
     t.add_row({name, std::to_string(n), "-", "-", "-", "not stabilizing"});

@@ -195,11 +195,9 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
 
   // ---- certificate ------------------------------------------------
   {
-    const bool stab = sr[4].r.holds;
-    auto cert = make_certificate(serial);
-    if (stab != cert.has_value()) {
-      add("certificate", stab ? "stabilizing verdict but no certificate produced"
-                              : "certificate produced for a non-stabilizing system");
+    auto cert = make_certificate(serial, sr[4].r);
+    if (sr[4].r.holds && !cert) {
+      add("certificate", "stabilizing verdict but no certificate produced");
     } else if (cert) {
       auto ok = validate_certificate(ev.c, fc.a, serial.a_initial(), fc.alpha, *cert);
       if (!ok.holds)

@@ -16,10 +16,10 @@
 //                           program, not from the CSR
 //   witness-path            every failing verdict's witness is a real
 //                           path/cycle of C
-//   certificate             stabilizing => make_certificate validates;
-//                           not stabilizing => no certificate; every
-//                           applicable certificate mutation is REJECTED
-//                           by the validator
+//   certificate             stabilizing => make_certificate, given the
+//                           verdict, emits one the validator accepts;
+//                           every applicable certificate mutation is
+//                           REJECTED by the validator
 //   simulation              cycles discovered by seeded random walks
 //                           are "good" whenever the checker says
 //                           stabilizing; for GCL cases, simulator runs

@@ -46,12 +46,13 @@ bool explicit_terminates(const gcl::SystemAst& ast, bool* applicable = nullptr,
                          std::size_t max_states = std::size_t{1} << 22);
 
 /// Ground truth for the static refinement prover (prover/refine.hpp):
-/// [C <~ A] through `alpha`, decided by BOTH explicit engines — the
-/// materialized RefinementChecker and the on-the-fly SCC-quotient
-/// checker — so a static verdict is held against two independent
-/// implementations at once. A static Proved that `holds` refutes (or
-/// a Refuted that it confirms) is a soundness bug; the two engines
-/// disagreeing with each other is an engine bug either way.
+/// [C <~ A] through `alpha`, decided twice by the same OnTheFlyChecker
+/// code — `holds` through RefinementChecker over the materialized CSR,
+/// `onthefly_holds` over the compiled successor kernel with a lazy
+/// alpha. The two runs share the decision procedure, so they check the
+/// CSR build and the kernel against each other, not two algorithms. A
+/// static Proved that `holds` refutes (or a Refuted that it confirms)
+/// is a soundness bug; the two runs disagreeing is an engine bug.
 struct RefineGroundTruth {
   bool applicable = false;     // both spaces fit the cap and were explored
   bool holds = false;          // explicit convergence_refinement verdict

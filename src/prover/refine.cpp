@@ -11,6 +11,7 @@
 #include "prover/interference.hpp"
 #include "prover/obligations.hpp"
 #include "prover/templates.hpp"
+#include "util/line_codec.hpp"
 
 namespace cref::prover {
 
@@ -1247,192 +1248,92 @@ std::string render_refinement_certificate_json(const RefinementCertificate& cert
 // serialized — the validator re-derives everything anyway.
 
 std::string serialize_refinement_certificate(const RefinementCertificate& cert) {
-  std::ostringstream out;
-  out << "refine-cert 1\n";
-  out << "c-system " << cert.c_system << "\n";
-  out << "a-system " << cert.a_system << "\n";
-  out << "budget " << cert.budget << "\n";
-  std::vector<std::string> alpha_lines;
-  {
-    std::istringstream in(cert.alpha_text);
-    std::string line;
-    while (std::getline(in, line)) alpha_lines.push_back(line);
-  }
-  out << "alpha " << alpha_lines.size() << "\n";
-  for (const std::string& line : alpha_lines) out << line << "\n";
-  out << "actions " << cert.action_class.size() << "\n";
+  util::LineWriter w;
+  w.line("refine-cert").num(1);
+  w.line("c-system").word(cert.c_system);
+  w.line("a-system").word(cert.a_system);
+  w.line("budget").num(cert.budget);
+  w.block("alpha", cert.alpha_text);
+  w.line("actions").num(cert.action_class.size());
   for (std::size_t i = 0; i < cert.action_class.size(); ++i) {
-    out << "action " << action_class_name(cert.action_class[i]) << " "
-        << cert.matched[i] << " ";
+    w.line("action").word(action_class_name(cert.action_class[i])).num(cert.matched[i]);
     if (cert.stutter_ranked_at[i] == kUnranked)
-      out << "-";
+      w.word("-");
     else
-      out << cert.stutter_ranked_at[i];
-    out << " " << cert.enum_footprint[i].size();
-    for (std::size_t v : cert.enum_footprint[i]) out << " " << v;
-    out << "\n";
+      w.num(cert.stutter_ranked_at[i]);
+    w.list(cert.enum_footprint[i]);
   }
-  out << "stutter-components " << cert.stutter_components.size() << "\n";
+  w.line("stutter-components").num(cert.stutter_components.size());
   for (const RankTerm& c : cert.stutter_components)
-    out << "scomp " << gcl::print_expr(c.expr) << "\n";
-  out << "visible-components " << cert.visible_components.size() << "\n";
+    w.line("scomp").word(gcl::print_expr(c.expr));
+  w.line("visible-components").num(cert.visible_components.size());
   for (const RankTerm& c : cert.visible_components)
-    out << "vcomp " << gcl::print_expr(c.expr) << "\n";
-  out << "has-invariant " << (cert.has_invariant ? 1 : 0) << "\n";
-  if (cert.has_invariant)
-    out << "invariant " << gcl::print_expr(cert.invariant) << "\n";
-  out << "compressed " << cert.compressed.size() << "\n";
-  for (const CompressedRow& row : cert.compressed) {
-    out << "row " << row.action << " " << row.source.size();
-    for (const auto v : row.source) out << " " << static_cast<long long>(v);
-    out << " " << row.a_path.size();
-    for (std::size_t b : row.a_path) out << " " << b;
-    out << "\n";
-  }
-  out << "supports " << cert.deadlock_support.size() << "\n";
-  for (const std::vector<std::size_t>& sup : cert.deadlock_support) {
-    out << "support " << sup.size();
-    for (std::size_t i : sup) out << " " << i;
-    out << "\n";
-  }
-  out << "end\n";
-  return out.str();
+    w.line("vcomp").word(gcl::print_expr(c.expr));
+  w.line("has-invariant").num(cert.has_invariant ? 1 : 0);
+  if (cert.has_invariant) w.line("invariant").word(gcl::print_expr(cert.invariant));
+  w.line("compressed").num(cert.compressed.size());
+  for (const CompressedRow& row : cert.compressed)
+    w.line("row").num(row.action).list(row.source).list(row.a_path);
+  w.line("supports").num(cert.deadlock_support.size());
+  for (const std::vector<std::size_t>& sup : cert.deadlock_support)
+    w.line("support").list(sup);
+  w.line("end");
+  return w.take();
 }
-
-namespace {
-
-/// Keyword-checked line reader over the serialized blob.
-struct CertReader {
-  std::istringstream in;
-  explicit CertReader(const std::string& text) : in(text) {}
-
-  bool line(const char* keyword, std::istringstream& fields) {
-    std::string raw;
-    if (!std::getline(in, raw)) return false;
-    fields.clear();
-    fields.str(raw);
-    std::string head;
-    return (fields >> head) && head == keyword;
-  }
-  /// Rest of `fields` after the already-extracted prefix, trimmed of
-  /// one leading space.
-  static std::string rest(std::istringstream& fields) {
-    std::string tail;
-    std::getline(fields, tail);
-    if (!tail.empty() && tail.front() == ' ') tail.erase(tail.begin());
-    return tail;
-  }
-};
-
-}  // namespace
 
 std::optional<RefinementCertificate> parse_refinement_certificate(
     const std::string& text, const gcl::SystemAst& c_ast) {
+  static constexpr ActionClass kActionClasses[] = {ActionClass::Vacuous, ActionClass::Stutter,
+                                                   ActionClass::Exact, ActionClass::Mixed,
+                                                   ActionClass::Enumerated};
+  util::LineReader r(text);
   RefinementCertificate cert;
-  CertReader r(text);
-  std::istringstream f;
   int version = 0;
-  if (!r.line("refine-cert", f) || !(f >> version) || version != 1)
-    return std::nullopt;
-  if (!r.line("c-system", f) || !(f >> cert.c_system)) return std::nullopt;
-  if (!r.line("a-system", f) || !(f >> cert.a_system)) return std::nullopt;
-  if (!r.line("budget", f) || !(f >> cert.budget)) return std::nullopt;
-  std::size_t count = 0;
-  if (!r.line("alpha", f) || !(f >> count)) return std::nullopt;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string line;
-    if (!std::getline(r.in, line)) return std::nullopt;
-    cert.alpha_text += line + "\n";
-  }
-  if (!r.line("actions", f) || !(f >> count)) return std::nullopt;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string cls, site;
-    std::ptrdiff_t matched = -1;
-    std::size_t fpk = 0;
-    if (!r.line("action", f) || !(f >> cls >> matched >> site >> fpk))
+  std::string cls, site;
+  std::size_t n = 0;
+  if (!r.line("refine-cert").num(version).ok() || version != 1) return std::nullopt;
+  r.line("c-system").word(cert.c_system);
+  r.line("a-system").word(cert.a_system);
+  r.line("budget").num(cert.budget);
+  r.block("alpha", cert.alpha_text);
+  r.line("actions").num(n);
+  for (; n > 0 && r.ok(); --n) {
+    std::ptrdiff_t matched = 0;
+    std::size_t ranked = kUnranked;
+    r.line("action").word(cls).num(matched).word(site).list(cert.enum_footprint.emplace_back());
+    const auto* c = std::find_if(std::begin(kActionClasses), std::end(kActionClasses),
+                                 [&](ActionClass k) { return cls == action_class_name(k); });
+    if (c == std::end(kActionClasses) || (site != "-" && !util::parse_number(site, ranked)))
       return std::nullopt;
-    ActionClass c;
-    if (cls == "vacuous") c = ActionClass::Vacuous;
-    else if (cls == "stutter") c = ActionClass::Stutter;
-    else if (cls == "exact") c = ActionClass::Exact;
-    else if (cls == "mixed") c = ActionClass::Mixed;
-    else if (cls == "enumerated") c = ActionClass::Enumerated;
-    else return std::nullopt;
-    cert.action_class.push_back(c);
+    cert.action_class.push_back(*c);
     cert.matched.push_back(matched);
-    if (site == "-") {
-      cert.stutter_ranked_at.push_back(kUnranked);
-    } else {
-      try {
-        cert.stutter_ranked_at.push_back(std::stoull(site));
-      } catch (...) {
-        return std::nullopt;
-      }
-    }
-    std::vector<std::size_t> fp(fpk);
-    for (std::size_t k = 0; k < fpk; ++k)
-      if (!(f >> fp[k])) return std::nullopt;
-    cert.enum_footprint.push_back(std::move(fp));
+    cert.stutter_ranked_at.push_back(ranked);
   }
-  auto parse_terms = [&](const char* header, const char* item,
-                         std::vector<RankTerm>& terms) -> bool {
-    std::size_t k = 0;
-    if (!r.line(header, f) || !(f >> k)) return false;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!r.line(item, f)) return false;
-      const std::string body = CertReader::rest(f);
-      try {
-        Expr e = gcl::parse_expr_over(body, c_ast);
-        terms.push_back({body, std::move(e)});
-      } catch (...) {
-        return false;
-      }
+  auto read_terms = [&](const char* header, const char* item, std::vector<RankTerm>& terms) {
+    r.line(header).num(n);
+    for (; n > 0 && r.ok(); --n) {
+      RankTerm& t = terms.emplace_back();
+      if (r.line(item).rest(t.pretty).ok()) t.expr = gcl::parse_expr_over(t.pretty, c_ast);
     }
-    return true;
   };
-  if (!parse_terms("stutter-components", "scomp", cert.stutter_components))
-    return std::nullopt;
-  if (!parse_terms("visible-components", "vcomp", cert.visible_components))
-    return std::nullopt;
-  int has_inv = 0;
-  if (!r.line("has-invariant", f) || !(f >> has_inv)) return std::nullopt;
-  cert.has_invariant = has_inv != 0;
-  if (cert.has_invariant) {
-    if (!r.line("invariant", f)) return std::nullopt;
-    try {
-      cert.invariant = gcl::parse_expr_over(CertReader::rest(f), c_ast);
-    } catch (...) {
-      return std::nullopt;
-    }
+  try {
+    read_terms("stutter-components", "scomp", cert.stutter_components);
+    read_terms("visible-components", "vcomp", cert.visible_components);
+    r.line("has-invariant").num(cert.has_invariant);
+    std::string inv;
+    if (cert.has_invariant && r.line("invariant").rest(inv).ok())
+      cert.invariant = gcl::parse_expr_over(inv, c_ast);
+  } catch (const std::exception&) {
+    return std::nullopt;  // an expression that does not parse over C's variables
   }
-  if (!r.line("compressed", f) || !(f >> count)) return std::nullopt;
-  for (std::size_t i = 0; i < count; ++i) {
-    CompressedRow row;
-    std::size_t nv = 0;
-    if (!r.line("row", f) || !(f >> row.action >> nv)) return std::nullopt;
-    row.source.resize(nv);
-    for (std::size_t k = 0; k < nv; ++k) {
-      long long v = 0;
-      if (!(f >> v)) return std::nullopt;
-      row.source[k] = static_cast<Value>(v);
-    }
-    std::size_t np = 0;
-    if (!(f >> np)) return std::nullopt;
-    row.a_path.resize(np);
-    for (std::size_t k = 0; k < np; ++k)
-      if (!(f >> row.a_path[k])) return std::nullopt;
-    cert.compressed.push_back(std::move(row));
+  r.line("compressed").num(n);
+  for (; n > 0 && r.ok(); --n) {
+    CompressedRow& row = cert.compressed.emplace_back();
+    r.line("row").num(row.action).list(row.source).list(row.a_path);
   }
-  if (!r.line("supports", f) || !(f >> count)) return std::nullopt;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::size_t k = 0;
-    if (!r.line("support", f) || !(f >> k)) return std::nullopt;
-    std::vector<std::size_t> sup(k);
-    for (std::size_t j = 0; j < k; ++j)
-      if (!(f >> sup[j])) return std::nullopt;
-    cert.deadlock_support.push_back(std::move(sup));
-  }
-  if (!r.line("end", f)) return std::nullopt;
+  r.line("supports").num(n);
+  for (; n > 0 && r.ok(); --n) r.line("support").list(cert.deadlock_support.emplace_back());
+  if (!r.line("end").finish()) return std::nullopt;
   return cert;
 }
 

@@ -6,8 +6,9 @@
 
 namespace cref {
 
-std::optional<StabilizationCertificate> make_certificate(const RefinementChecker& rc) {
-  if (!rc.stabilizing_to().holds) return std::nullopt;
+std::optional<StabilizationCertificate> make_certificate(const RefinementChecker& rc,
+                                                         const CheckResult& verdict) {
+  if (!verdict.holds) return std::nullopt;
   const TransitionGraph& c = rc.c_graph();
   const TransitionGraph& a = rc.a_graph();
   const StateId cn = c.num_states();

@@ -41,10 +41,12 @@ struct StabilizationCertificate {
   std::vector<std::uint64_t> sigma;   // indexed by C-state
 };
 
-/// Produces a certificate for the (C, A, alpha) triple held by `rc`, or
-/// nullopt if the system is not stabilizing (in which case
-/// rc.stabilizing_to() carries the counterexample).
-std::optional<StabilizationCertificate> make_certificate(const RefinementChecker& rc);
+/// Produces a certificate for the (C, A, alpha) triple held by `rc`
+/// from `verdict`, the caller's rc.stabilizing_to() result, so the
+/// relation is not decided twice; nullopt when the verdict does not
+/// hold (it carries the counterexample).
+std::optional<StabilizationCertificate> make_certificate(const RefinementChecker& rc,
+                                                         const CheckResult& verdict);
 
 /// The stutter rank sigma of every certificate that carries one: the
 /// longest-path index (per C-state) of the subgraph of C's stutter edges

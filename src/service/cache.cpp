@@ -5,233 +5,84 @@
 #include <sstream>
 #include <utility>
 
+#include "util/line_codec.hpp"
+
 namespace cref::service {
 
-namespace {
-
-void write_vec(std::ostringstream& out, const char* label, const std::vector<std::uint64_t>& v) {
-  out << label << ' ' << v.size();
-  for (std::uint64_t x : v) out << ' ' << x;
-  out << '\n';
-}
-
-void write_ids(std::ostringstream& out, const char* label, const std::vector<StateId>& v) {
-  out << label << ' ' << v.size();
-  for (StateId x : v) out << ' ' << x;
-  out << '\n';
-}
-
-void write_vec32(std::ostringstream& out, const char* label,
-                 const std::vector<std::uint32_t>& v) {
-  out << label << ' ' << v.size();
-  for (std::uint32_t x : v) out << ' ' << x;
-  out << '\n';
-}
-
-void write_bits(std::ostringstream& out, const char* label, const std::vector<char>& v) {
-  out << label << ' ' << v.size();
-  if (!v.empty()) {
-    out << ' ';
-    for (char c : v) out << (c ? '1' : '0');
-  }
-  out << '\n';
-}
-
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : in_(text) {}
-
-  std::optional<std::string> next() {
-    std::string line;
-    if (!std::getline(in_, line)) return std::nullopt;
-    return line;
-  }
-
- private:
-  std::istringstream in_;
-};
-
-bool no_trailing(std::istringstream& ss) {
-  std::string rest;
-  return !(ss >> rest);
-}
-
-bool open_labeled(const std::optional<std::string>& line, const char* label,
-                  std::istringstream& ss) {
-  if (!line) return false;
-  ss.str(*line);
-  std::string tok;
-  return static_cast<bool>(ss >> tok) && tok == label;
-}
-
-template <class T>
-bool read_numbers(LineReader& r, const char* label, std::vector<T>& out) {
-  std::istringstream ss;
-  if (!open_labeled(r.next(), label, ss)) return false;
-  std::uint64_t n = 0;
-  if (!(ss >> n)) return false;
-  out.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t v = 0;
-    if (!(ss >> v)) return false;
-    out.push_back(static_cast<T>(v));
-  }
-  return no_trailing(ss);
-}
-
-bool read_bits(LineReader& r, const char* label, std::vector<char>& out) {
-  std::istringstream ss;
-  if (!open_labeled(r.next(), label, ss)) return false;
-  std::uint64_t n = 0;
-  if (!(ss >> n)) return false;
-  out.clear();
-  if (n == 0) return no_trailing(ss);
-  std::string bits;
-  if (!(ss >> bits) || bits.size() != n) return false;
-  for (char c : bits) {
-    if (c != '0' && c != '1') return false;
-    out.push_back(c == '1');
-  }
-  return no_trailing(ss);
-}
-
-bool read_flag(LineReader& r, const char* label, bool& out) {
-  std::istringstream ss;
-  if (!open_labeled(r.next(), label, ss)) return false;
-  int v = 0;
-  if (!(ss >> v) || (v != 0 && v != 1)) return false;
-  out = v == 1;
-  return no_trailing(ss);
-}
-
-bool read_word(LineReader& r, const char* label, std::string& out) {
-  std::istringstream ss;
-  if (!open_labeled(r.next(), label, ss)) return false;
-  return static_cast<bool>(ss >> out) && no_trailing(ss);
-}
-
-}  // namespace
-
 std::string serialize_entry(const CacheEntry& entry) {
-  std::ostringstream out;
-  out << "cref-cache 2\n";
-  out << "relation " << to_string(entry.relation) << '\n';
-  out << "holds " << (entry.holds ? 1 : 0) << '\n';
-  // Raw to end of line; reasons never contain '\n' (and if one ever
-  // did, the strict parser would turn the entry into a miss, not a
-  // corrupted answer).
-  out << "reason " << entry.reason << '\n';
-  write_ids(out, "witness", entry.witness);
-  out << "cert " << (entry.certificate ? 1 : 0) << '\n';
+  util::LineWriter w;
+  w.line("cref-cache").num(2);
+  w.line("relation").word(to_string(entry.relation));
+  w.line("holds").num(entry.holds ? 1 : 0);
+  // Raw to end of line: a reason holding '\n' would parse as a miss.
+  w.line("reason").word(entry.reason);
+  w.line("witness").list(entry.witness);
+  w.line("cert").num(entry.certificate ? 1 : 0);
   if (entry.certificate) {
     const JobCertificate& c = *entry.certificate;
-    out << "positive " << (c.positive ? 1 : 0) << '\n';
-    write_vec(out, "rho", c.rho);
-    write_vec(out, "sigma", c.sigma);
-    write_bits(out, "region", c.c_region);
-    out << "compressed " << c.compressed.size() << '\n';
-    for (const JobCertificate::APath& p : c.compressed) {
-      out << "cpath " << p.s << ' ' << p.t << ' ' << p.path.size();
-      for (StateId x : p.path) out << ' ' << x;
-      out << '\n';
-    }
-    write_bits(out, "stab-reach", c.stab.a_reachable);
-    write_ids(out, "stab-parent", c.stab.a_parent);
-    write_vec32(out, "stab-depth", c.stab.a_depth);
-    write_vec(out, "stab-rho", c.stab.rho);
-    write_vec(out, "stab-sigma", c.stab.sigma);
-    out << "kind " << to_string(c.kind) << '\n';
-    write_ids(out, "init-path", c.init_path);
-    write_bits(out, "a-closed", c.a_closed);
-    // The static refinement certificate is itself a line-oriented text
-    // blob; embed it verbatim, length-prefixed by line count.
-    std::size_t nlines = 0;
-    for (char ch : c.refine)
-      if (ch == '\n') ++nlines;
-    out << "refine " << nlines << '\n' << c.refine;
+    w.line("positive").num(c.positive ? 1 : 0);
+    w.line("rho").list(c.rho);
+    w.line("sigma").list(c.sigma);
+    w.line("region").bits(c.c_region);
+    w.line("compressed").num(c.compressed.size());
+    for (const JobCertificate::APath& p : c.compressed)
+      w.line("cpath").num(p.s).num(p.t).list(p.path);
+    w.line("stab-reach").bits(c.stab.a_reachable);
+    w.line("stab-parent").list(c.stab.a_parent);
+    w.line("stab-depth").list(c.stab.a_depth);
+    w.line("stab-rho").list(c.stab.rho);
+    w.line("stab-sigma").list(c.stab.sigma);
+    w.line("kind").word(to_string(c.kind));
+    w.line("init-path").list(c.init_path);
+    w.line("a-closed").bits(c.a_closed);
+    // The static refinement certificate's own text, embedded verbatim.
+    w.block("refine", c.refine);
   }
-  out << "end\n";
-  return out.str();
+  w.line("end");
+  return w.take();
 }
 
 std::optional<CacheEntry> parse_entry(const std::string& text) {
-  LineReader r(text);
-  if (auto line = r.next(); !line || *line != "cref-cache 2") return std::nullopt;
-
+  util::LineReader r(text);
   CacheEntry e;
-  std::string word;
-  if (!read_word(r, "relation", word)) return std::nullopt;
-  try {
-    e.relation = relation_from_string(word);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (!read_flag(r, "holds", e.holds)) return std::nullopt;
-
-  auto reason_line = r.next();
-  if (!reason_line) return std::nullopt;
-  if (*reason_line == "reason") {
-    e.reason.clear();
-  } else if (reason_line->rfind("reason ", 0) == 0) {
-    e.reason = reason_line->substr(7);
-  } else {
-    return std::nullopt;
-  }
-
-  if (!read_numbers(r, "witness", e.witness)) return std::nullopt;
+  int version = 0;
   bool has_cert = false;
-  if (!read_flag(r, "cert", has_cert)) return std::nullopt;
+  std::string relation, kind;
+  if (!r.line("cref-cache").num(version).ok() || version != 2) return std::nullopt;
+  r.line("relation").word(relation);
+  r.line("holds").num(e.holds);
+  r.line("reason").rest(e.reason);
+  r.line("witness").list(e.witness);
+  r.line("cert").num(has_cert);
   if (has_cert) {
-    JobCertificate c;
-    if (!read_flag(r, "positive", c.positive)) return std::nullopt;
-    if (!read_numbers(r, "rho", c.rho)) return std::nullopt;
-    if (!read_numbers(r, "sigma", c.sigma)) return std::nullopt;
-    if (!read_bits(r, "region", c.c_region)) return std::nullopt;
-    std::istringstream ss;
-    if (!open_labeled(r.next(), "compressed", ss)) return std::nullopt;
-    std::uint64_t count = 0;
-    if (!(ss >> count) || !no_trailing(ss)) return std::nullopt;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::istringstream ps;
-      if (!open_labeled(r.next(), "cpath", ps)) return std::nullopt;
-      JobCertificate::APath p;
-      std::uint64_t len = 0;
-      if (!(ps >> p.s >> p.t >> len)) return std::nullopt;
-      for (std::uint64_t j = 0; j < len; ++j) {
-        StateId x = 0;
-        if (!(ps >> x)) return std::nullopt;
-        p.path.push_back(x);
-      }
-      if (!no_trailing(ps)) return std::nullopt;
-      c.compressed.push_back(std::move(p));
+    JobCertificate& c = e.certificate.emplace();
+    std::size_t n = 0;
+    r.line("positive").num(c.positive);
+    r.line("rho").list(c.rho);
+    r.line("sigma").list(c.sigma);
+    r.line("region").bits(c.c_region);
+    r.line("compressed").num(n);
+    for (; n > 0 && r.ok(); --n) {
+      JobCertificate::APath& p = c.compressed.emplace_back();
+      r.line("cpath").num(p.s).num(p.t).list(p.path);
     }
-    if (!read_bits(r, "stab-reach", c.stab.a_reachable)) return std::nullopt;
-    if (!read_numbers(r, "stab-parent", c.stab.a_parent)) return std::nullopt;
-    if (!read_numbers(r, "stab-depth", c.stab.a_depth)) return std::nullopt;
-    if (!read_numbers(r, "stab-rho", c.stab.rho)) return std::nullopt;
-    if (!read_numbers(r, "stab-sigma", c.stab.sigma)) return std::nullopt;
-    if (!read_word(r, "kind", word)) return std::nullopt;
-    try {
-      c.kind = violation_kind_from_string(word);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-    if (!read_numbers(r, "init-path", c.init_path)) return std::nullopt;
-    if (!read_bits(r, "a-closed", c.a_closed)) return std::nullopt;
-    std::istringstream rs;
-    if (!open_labeled(r.next(), "refine", rs)) return std::nullopt;
-    std::uint64_t nlines = 0;
-    if (!(rs >> nlines) || !no_trailing(rs)) return std::nullopt;
-    for (std::uint64_t i = 0; i < nlines; ++i) {
-      auto line = r.next();
-      if (!line) return std::nullopt;
-      c.refine += *line;
-      c.refine += '\n';
-    }
-    e.certificate = std::move(c);
+    r.line("stab-reach").bits(c.stab.a_reachable);
+    r.line("stab-parent").list(c.stab.a_parent);
+    r.line("stab-depth").list(c.stab.a_depth);
+    r.line("stab-rho").list(c.stab.rho);
+    r.line("stab-sigma").list(c.stab.sigma);
+    r.line("kind").word(kind);
+    r.line("init-path").list(c.init_path);
+    r.line("a-closed").bits(c.a_closed);
+    r.block("refine", c.refine);
   }
-  if (auto line = r.next(); !line || *line != "end") return std::nullopt;
-  if (r.next()) return std::nullopt;  // trailing garbage
+  if (!r.line("end").finish()) return std::nullopt;
+  try {
+    e.relation = relation_from_string(relation);
+    if (has_cert) e.certificate->kind = violation_kind_from_string(kind);
+  } catch (const std::exception&) {
+    return std::nullopt;  // an unknown name
+  }
   return e;
 }
 

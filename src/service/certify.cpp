@@ -30,6 +30,7 @@ std::vector<std::uint64_t> scc_rho(const RefinementChecker& rc) {
 }
 
 std::optional<JobCertificate> make_positive(const RefinementChecker& rc, Relation r,
+                                            const CheckResult& result,
                                             const CertifyOptions& opts) {
   const TransitionGraph& c = rc.c_graph();
   const TransitionGraph& a = rc.a_graph();
@@ -38,7 +39,7 @@ std::optional<JobCertificate> make_positive(const RefinementChecker& rc, Relatio
   cert.positive = true;
 
   if (r == Relation::kStabilizing) {
-    auto sc = make_certificate(rc);
+    auto sc = make_certificate(rc, result);
     if (!sc) return std::nullopt;
     cert.stab = std::move(*sc);
     return cert;
@@ -510,7 +511,7 @@ ViolationKind violation_kind_from_string(const std::string& name) {
 std::optional<JobCertificate> make_job_certificate(const RefinementChecker& rc, Relation r,
                                                    const CheckResult& result,
                                                    const CertifyOptions& opts) {
-  return result.holds ? make_positive(rc, r, opts) : make_negative(rc, r, result);
+  return result.holds ? make_positive(rc, r, result, opts) : make_negative(rc, r, result);
 }
 
 CheckResult validate_job_certificate(Relation r, bool claimed_holds, const Trace& witness,

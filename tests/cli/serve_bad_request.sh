@@ -2,10 +2,10 @@
 # Pins cref_serve's per-request error handling: a request whose program
 # file is missing or does not parse, names an unknown relation, or is not
 # a well-formed line is answered with an error line in its place (text
-# and --json), every other request of the batch is still answered, and
-# the run exits 1. With --twice --assert-warm the failed requests are
-# skipped and the well-formed ones must still come back as validated
-# warm hits.
+# and --json, where control bytes are escaped), every other request of
+# the batch is still answered, and the run exits 1. With --twice
+# --assert-warm the failed requests are skipped and the well-formed ones
+# must still come back as validated warm hits.
 set -u
 
 SERVE="$1"
@@ -24,6 +24,10 @@ system broken {
   var x : 0..2
   action
 GCL
+# A program holding the control byte 0x01: its --json error line must
+# escape it as \u0001, as JSON requires.
+printf 'system ctl {\n  var x : 0..2;\001\n}\n' > "$WORK/ctl.gcl"
+echo 'stabilizing ctl.gcl ring.gcl' > "$WORK/ctl.txt"
 cat > "$WORK/good.txt" <<'TXT'
 everywhere ring.gcl ring.gcl
 stabilizing ring.gcl ring.gcl
@@ -82,6 +86,12 @@ expect_lines "$WORK/json.out" \
   '"relation": "sideways", .*"error": ' \
   '"error": "bad request line: everywhere ring.gcl"' \
   '"relation": "stabilizing", "c": "ring.gcl", .*"holds": '
+
+"$SERVE" --batch "$WORK/ctl.txt" --json > "$WORK/ctl.out" 2> /dev/null
+code=$?
+[ "$code" -eq 1 ] || fail "control-byte --json batch exited $code, expected 1"
+expect_lines "$WORK/ctl.out" '"c": "ctl.gcl", .*"error": ".*\\u0001'
+if grep -q "$(printf '\001')" "$WORK/ctl.out"; then fail "raw control byte in --json output"; fi
 
 "$SERVE" --batch "$WORK/mixed.txt" --cache-dir "$WORK/cache" --twice --assert-warm \
   > "$WORK/twice.out" 2> "$WORK/twice.err"

@@ -4,8 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/space.hpp"
 #include "gcl/alpha.hpp"
@@ -230,6 +232,34 @@ TEST(RefineProverSerialization, MalformedTextIsAMissNeverACrash) {
     if (pos + 1 == text.size()) break;
     EXPECT_FALSE(parse_refinement_certificate(text.substr(0, pos + 1), c).has_value())
         << "truncated at byte " << pos;
+  }
+}
+
+/// Blobs that stop right after a count of `n`: an action's footprint,
+/// a row's source and A-path, a deadlock support, and the header counts.
+std::vector<std::string> hostile_blobs(const std::string& n) {
+  const std::string head = "refine-cert 1\nc-system c\na-system a\nbudget 0\n";
+  const std::string body = head + "alpha 0\nactions 0\nstutter-components 0\n" +
+                           "visible-components 0\nhas-invariant 0\n";
+  return {head + "alpha 0\nactions 1\naction vacuous 0 - " + n + "\n",
+          body + "compressed 1\nrow 0 " + n + "\n",
+          body + "compressed 1\nrow 0 0 " + n + "\n",
+          body + "compressed 0\nsupports 1\nsupport " + n + "\n",
+          body + "compressed " + n + "\n",
+          head + "alpha 0\nactions " + n + "\n",
+          head + "alpha " + n + "\n"};
+}
+
+TEST(RefineProverSerialization, HostileCountsAreAMissWithoutAllocating) {
+  // Each count must be rejected when its values run out, never trusted
+  // to size a vector first.
+  const gcl::SystemAst c = example("gcl/w2_utr.gcl");
+  for (const char* n : {"4611686018427387904", "300000000"}) {  // 2^62, 3e8
+    for (const std::string& blob : hostile_blobs(n)) {
+      std::optional<RefinementCertificate> parsed;
+      EXPECT_NO_THROW(parsed = parse_refinement_certificate(blob, c)) << blob;
+      EXPECT_FALSE(parsed.has_value()) << blob;
+    }
   }
 }
 

@@ -21,7 +21,7 @@ TEST(CertificateTest, HandAutomatonRoundTrip) {
       TransitionGraph::from_edges(4, {{0, 1}, {1, 0}, {2, 0}, {3, 2}});
   RefinementChecker rc(c, a, {0}, {0});
   ASSERT_TRUE(rc.stabilizing_to().holds);
-  auto cert = make_certificate(rc);
+  auto cert = make_certificate(rc, rc.stabilizing_to());
   ASSERT_TRUE(cert.has_value());
   auto v = validate_certificate(rc.c_graph(), rc.a_graph(), {0}, {}, *cert);
   EXPECT_TRUE(v.holds) << v.reason;
@@ -35,14 +35,14 @@ TEST(CertificateTest, NonStabilizingSystemHasNoCertificate) {
   TransitionGraph c = TransitionGraph::from_edges(3, {{0, 1}, {1, 0}});
   RefinementChecker rc(c, a, {0}, {0});
   ASSERT_FALSE(rc.stabilizing_to().holds);
-  EXPECT_FALSE(make_certificate(rc).has_value());
+  EXPECT_FALSE(make_certificate(rc, rc.stabilizing_to()).has_value());
 }
 
 TEST(CertificateTest, ValidatorRejectsTamperedRho) {
   TransitionGraph a = TransitionGraph::from_edges(3, {{0, 1}, {1, 0}});
   TransitionGraph c = TransitionGraph::from_edges(3, {{0, 1}, {1, 0}, {2, 0}});
   RefinementChecker rc(c, a, {0}, {0});
-  auto cert = make_certificate(rc);
+  auto cert = make_certificate(rc, rc.stabilizing_to());
   ASSERT_TRUE(cert.has_value());
   // Claim the recovery state already converged: the bad edge (2, 0) no
   // longer decreases rho.
@@ -56,7 +56,7 @@ TEST(CertificateTest, ValidatorRejectsInflatedReachableSet) {
   TransitionGraph a = TransitionGraph::from_edges(3, {{0, 1}, {1, 0}});
   TransitionGraph c = TransitionGraph::from_edges(3, {{0, 1}, {1, 0}, {2, 0}});
   RefinementChecker rc(c, a, {0}, {0});
-  auto cert = make_certificate(rc);
+  auto cert = make_certificate(rc, rc.stabilizing_to());
   ASSERT_TRUE(cert.has_value());
   // Mark the garbage state reachable without a witness path.
   cert->a_reachable[2] = 1;
@@ -69,7 +69,7 @@ TEST(CertificateTest, ValidatorRejectsSizeMismatch) {
   TransitionGraph a = TransitionGraph::from_edges(2, {{0, 1}, {1, 0}});
   TransitionGraph c = a;
   RefinementChecker rc(c, a, {0}, {0});
-  auto cert = make_certificate(rc);
+  auto cert = make_certificate(rc, rc.stabilizing_to());
   ASSERT_TRUE(cert.has_value());
   cert->rho.pop_back();
   EXPECT_FALSE(validate_certificate(rc.c_graph(), rc.a_graph(), {0}, {}, *cert).holds);
@@ -83,7 +83,7 @@ TEST_P(RingCertificateTest, Dijkstra3CertificateValidates) {
   ring::BtrLayout bl(n);
   Abstraction a3 = ring::make_alpha3(l, bl);
   RefinementChecker rc(ring::make_dijkstra3(l), ring::make_btr(bl), a3);
-  auto cert = make_certificate(rc);
+  auto cert = make_certificate(rc, rc.stabilizing_to());
   ASSERT_TRUE(cert.has_value());
   auto v = validate_certificate(rc.c_graph(), rc.a_graph(), rc.a_initial(),
                                 alpha_table_of(a3), *cert);
@@ -99,7 +99,7 @@ TEST_P(RingCertificateTest, WrappedC3CertificateValidates) {
   System c3w = box_priority(ring::make_c3(l),
                             box(ring::make_w1_dprime(l), ring::make_w2_prime3(l)));
   RefinementChecker rc(c3w, ring::make_btr(bl), a3);
-  auto cert = make_certificate(rc);
+  auto cert = make_certificate(rc, rc.stabilizing_to());
   ASSERT_TRUE(cert.has_value());
   auto v = validate_certificate(rc.c_graph(), rc.a_graph(), rc.a_initial(),
                                 alpha_table_of(a3), *cert);

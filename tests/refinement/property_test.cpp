@@ -185,8 +185,9 @@ TEST_P(MetaTheoremTest, CertificateRoundTripOnRandomSystems) {
   // must produce a certificate the independent validator accepts.
   Instance inst = draw(GetParam());
   RefinementChecker cb(inst.c, inst.b, inst.init, inst.b_init);
-  if (!cb.stabilizing_to().holds) return;
-  auto cert = make_certificate(cb);
+  const CheckResult verdict = cb.stabilizing_to();
+  if (!verdict.holds) return;
+  auto cert = make_certificate(cb, verdict);
   ASSERT_TRUE(cert.has_value()) << "seed " << GetParam();
   auto v = validate_certificate(cb.c_graph(), cb.a_graph(), cb.a_initial(), {}, *cert);
   EXPECT_TRUE(v.holds) << "seed " << GetParam() << ": " << v.reason;

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace cref::service {
 namespace {
@@ -104,6 +106,52 @@ TEST(CacheSerializationTest, StrictParserRejectsMalformedText) {
 
   bad = good;
   bad.replace(bad.find("1100"), 4, "11x0");  // bad region bit
+  EXPECT_FALSE(parse_entry(bad).has_value());
+}
+
+TEST(CacheSerializationTest, AcceptsOnlyWhatTheWriterEmits) {
+  // Every single-byte edit of a full entry either parses to an entry
+  // that serializes back to exactly the edited text, or is a miss: the
+  // parser takes no text the writer would not have written.
+  CacheEntry e = sample_positive();
+  e.reason = "two words";
+  e.witness = {5, 6};
+  JobCertificate& c = *e.certificate;
+  c.stab.a_reachable = {1, 0, 1};
+  c.stab.a_parent = {StabilizationCertificate::kNoParent, 0, 0};
+  c.stab.a_depth = {0, 1, 1};
+  c.stab.rho = {9};
+  c.stab.sigma = {10};
+  c.init_path = {2};
+  c.a_closed = {0, 1};
+  c.refine = "refine-cert 1\nend\n";
+  const std::string good = serialize_entry(e);
+  ASSERT_TRUE(parse_entry(good).has_value());
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::vector<std::string> edits = {good.substr(0, i) + good.substr(i + 1),
+                                      good.substr(0, i) + ' ' + good.substr(i)};
+    for (char ch : {' ', '0', '1', '9', '-', '\n', 'x'})
+      if (good[i] != ch) edits.push_back(good.substr(0, i) + ch + good.substr(i + 1));
+    for (const std::string& text : edits) {
+      const auto back = parse_entry(text);
+      if (!back) continue;
+      ++accepted;
+      EXPECT_EQ(serialize_entry(*back), text);
+    }
+  }
+  EXPECT_GT(accepted, 0u);  // digit edits inside lists stay well-formed
+}
+
+TEST(CacheSerializationTest, NumbersOutOfTheirFieldTypeAreAMiss) {
+  CacheEntry e = sample_negative();
+  e.certificate->stab.a_depth = {3};
+  const std::string good = serialize_entry(e);
+  std::string bad = good;
+  bad.replace(bad.find("stab-depth 1 3"), 14, "stab-depth 1 4294967299");  // 2^32 + 3
+  EXPECT_FALSE(parse_entry(bad).has_value());
+  bad = good;
+  bad.replace(bad.find("holds 0"), 7, "holds 00");
   EXPECT_FALSE(parse_entry(bad).has_value());
 }
 

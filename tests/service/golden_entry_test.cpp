@@ -294,7 +294,8 @@ TEST(GoldenEntryTest, FailingInstanceWithWitnesses) {
 
 TEST(GoldenEntryTest, StabilizationCertificateRanks) {
   constexpr StateId k = StabilizationCertificate::kNoParent;
-  const auto cert = make_certificate(holding_instance());
+  const RefinementChecker rc = holding_instance();
+  const auto cert = make_certificate(rc, rc.stabilizing_to());
   ASSERT_TRUE(cert.has_value());
   EXPECT_EQ(cert->rho, (std::vector<std::uint64_t>{0, 0, 0, 1, 2, 3, 4}));
   EXPECT_EQ(cert->sigma, (std::vector<std::uint64_t>{0, 0, 0, 0, 0, 1, 2}));

@@ -124,6 +124,41 @@ TEST(ServiceStaticRefine, TamperedRefineBlobFallsBackToAnHonestCheck) {
   EXPECT_GE(fresh.stats().validation_failures, 1u);
 }
 
+TEST(ServiceStaticRefine, HostileCountInTheRefineBlobIsRecomputedHonestly) {
+  ServiceOptions o;
+  o.cache_dir = temp_dir("cref-static-refine-hostile");
+  const Job job = convergence_job();
+  const auto file = std::filesystem::path(o.cache_dir) / (job.key.hex() + ".entry");
+  CheckResult cold;
+  {
+    CheckService svc(o);
+    cold = svc.run(job).result;
+  }
+  std::ostringstream text;
+  text << std::ifstream(file).rdbuf();
+  const std::string cold_entry = text.str();
+  // A well-formed entry whose refine blob claims 3e8 footprint values
+  // for one action and carries none: the blob parses to nothing, which
+  // counts as one failed validation, and the job is recomputed.
+  const std::size_t at = cold_entry.find("refine ");
+  ASSERT_NE(at, std::string::npos) << cold_entry;
+  std::ofstream(file, std::ios::trunc)
+      << cold_entry.substr(0, at)
+      << "refine 7\nrefine-cert 1\nc-system stepper\na-system walker\nbudget 0\nalpha 0\n"
+         "actions 1\naction vacuous 0 - 300000000\nend\n";
+
+  CheckService fresh(o);
+  const JobOutcome out = fresh.run(job);
+  EXPECT_FALSE(out.cache_hit);
+  EXPECT_EQ(fresh.stats().validation_failures, 1u);
+  EXPECT_EQ(out.result.holds, cold.holds);
+  EXPECT_EQ(out.result.reason, cold.reason);
+  EXPECT_EQ(out.result.witness.states, cold.witness.states);
+  std::ostringstream rewritten;
+  rewritten << std::ifstream(file).rdbuf();
+  EXPECT_EQ(rewritten.str(), cold_entry);
+}
+
 TEST(ServiceStaticRefine, DisablingStaticRefineForcesTheGraphPath) {
   ServiceOptions o;
   o.static_refine = false;

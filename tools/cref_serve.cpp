@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "gcl/diag.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
@@ -74,21 +75,6 @@ std::string read_file(const std::filesystem::path& p) {
   return text.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// The comparable answer content: everything except timings and
 /// cache telemetry. --assert-warm requires these bytes to match
 /// between the cold and warm passes.
@@ -104,10 +90,10 @@ std::string answer_body(const Request& req, const service::JobOutcome& o) {
 std::string answer_line(const Request& req, const service::JobOutcome& o, bool json) {
   std::ostringstream out;
   if (json) {
-    out << "{\"relation\": \"" << req.relation << "\", \"c\": \"" << json_escape(req.c_path)
-        << "\", \"a\": \"" << json_escape(req.a_path) << "\", \"key\": \"" << o.key.hex()
+    out << "{\"relation\": \"" << req.relation << "\", \"c\": \"" << gcl::json_escape(req.c_path)
+        << "\", \"a\": \"" << gcl::json_escape(req.a_path) << "\", \"key\": \"" << o.key.hex()
         << "\", \"holds\": " << (o.result.holds ? "true" : "false") << ", \"reason\": \""
-        << json_escape(o.result.reason) << "\", \"witness\": [";
+        << gcl::json_escape(o.result.reason) << "\", \"witness\": [";
     for (std::size_t i = 0; i < o.result.witness.states.size(); ++i)
       out << (i ? ", " : "") << o.result.witness.states[i];
     out << "], \"cache_hit\": " << (o.cache_hit ? "true" : "false")
@@ -127,9 +113,9 @@ std::string answer_line(const Request& req, const service::JobOutcome& o, bool j
 std::string error_line(const Request& req, bool json) {
   std::ostringstream out;
   if (json) {
-    out << "{\"relation\": \"" << json_escape(req.relation) << "\", \"c\": \""
-        << json_escape(req.c_path) << "\", \"a\": \"" << json_escape(req.a_path)
-        << "\", \"error\": \"" << json_escape(req.error) << "\"}";
+    out << "{\"relation\": \"" << gcl::json_escape(req.relation) << "\", \"c\": \""
+        << gcl::json_escape(req.c_path) << "\", \"a\": \"" << gcl::json_escape(req.a_path)
+        << "\", \"error\": \"" << gcl::json_escape(req.error) << "\"}";
   } else {
     out << req.relation << ' ' << req.c_path << ' ' << req.a_path << " ERROR error=\""
         << req.error << '"';
