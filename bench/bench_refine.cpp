@@ -209,7 +209,9 @@ Row run_instance(const std::string& family, const std::string& config,
                  const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
                  const gcl::AlphaSpec& alpha, const char* expect,
                  std::size_t cross, bool onthefly) {
-  Row row{family, config};
+  Row row;
+  row.family = family;
+  row.config = config;
   row.expect = expect;
   row.c_states = space_of(c_ast);
 

@@ -3,8 +3,8 @@
 #include <string>
 
 #include "absint/closure.hpp"
-#include "gcl/compile.hpp"
 #include "gcl/pretty.hpp"
+#include "gcl/valuation.hpp"
 
 namespace cref::absint {
 
@@ -14,38 +14,10 @@ using gcl::Severity;
 
 namespace {
 
-void collect_conjuncts(const gcl::Expr& e, std::vector<const gcl::Expr*>& out) {
-  if (e.op == gcl::Op::And) {
-    collect_conjuncts(e.children[0], out);
-    collect_conjuncts(e.children[1], out);
-  } else {
-    out.push_back(&e);
-  }
-}
-
 /// Guard satisfiable anywhere in the full domain product, abstractly.
 bool guard_satisfiable_somewhere(const gcl::Expr& guard, const std::vector<int>& cards) {
   AbsBox box = AbsBox::top(cards);
   return refine_by_guard(box, guard, true);
-}
-
-/// Product of all cardinalities, saturating at cap + 1.
-std::size_t full_valuation_count(const std::vector<int>& cards, std::size_t cap) {
-  std::size_t p = 1;
-  for (int c : cards) {
-    p *= static_cast<std::size_t>(c);
-    if (p > cap) return cap + 1;
-  }
-  return p;
-}
-
-std::string format_state(const gcl::SystemAst& ast, const StateVec& s) {
-  std::string out;
-  for (std::size_t i = 0; i < ast.vars.size(); ++i) {
-    if (!out.empty()) out += ", ";
-    out += ast.vars[i].name + "=" + std::to_string(s[i]);
-  }
-  return out;
 }
 
 /// Exact init-closure counterexample: a state satisfying init whose
@@ -57,31 +29,24 @@ struct ClosureViolation {
 };
 
 std::optional<ClosureViolation> find_exact_violation(const gcl::SystemAst& ast,
+                                                     const std::vector<std::size_t>& all,
                                                      const std::vector<int>& cards) {
-  StateVec s(cards.size(), 0), post(cards.size(), 0);
-  while (true) {
-    if (gcl::eval(*ast.init, s) != 0) {
-      for (const auto& a : ast.actions) {
-        if (gcl::eval(a.guard, s) == 0) continue;
-        post = s;
-        std::vector<std::int64_t> values;
-        values.reserve(a.assignments.size());
-        for (const auto& asg : a.assignments) values.push_back(gcl::eval(asg.value, s));
-        for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-          std::size_t tgt = a.assignments[i].var_index;
-          post[tgt] = static_cast<Value>(gcl::eval_mod(values[i], cards[tgt]));
-        }
-        if (post == s) continue;  // no-op executions are not transitions
-        if (gcl::eval(*ast.init, post) == 0) return ClosureViolation{a.name, s, post};
+  std::optional<ClosureViolation> found;
+  StateVec s, post;
+  gcl::for_each_valuation(all, cards, s, [&](const StateVec& sv) {
+    if (!gcl::truthy(*ast.init, sv)) return true;
+    for (const auto& a : ast.actions) {
+      if (!gcl::truthy(a.guard, sv)) continue;
+      gcl::post_state(a, cards, sv, post);
+      if (post == sv) continue;  // no-op executions are not transitions
+      if (!gcl::truthy(*ast.init, post)) {
+        found = ClosureViolation{a.name, sv, post};
+        return false;
       }
     }
-    std::size_t k = 0;
-    for (; k < cards.size(); ++k) {
-      if (static_cast<int>(++s[k]) < cards[k]) break;
-      s[k] = 0;
-    }
-    if (k == cards.size()) return std::nullopt;
-  }
+    return true;
+  });
+  return found;
 }
 
 }  // namespace
@@ -90,7 +55,7 @@ std::vector<Diagnostic> check_absint(const gcl::SystemAst& ast,
                                      const AbsintLintOptions& opts,
                                      AbsintResult* result) {
   std::vector<Diagnostic> out;
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = gcl::cards_of(ast);
   AbsintResult res = analyze_reachable(ast, opts.absint);
   if (result) *result = res;
   const AbsRegion& rs = res.region;
@@ -120,8 +85,7 @@ std::vector<Diagnostic> check_absint(const gcl::SystemAst& ast,
                      "or the init predicate"});
       continue;  // conjunct analysis over an unreachable guard is noise
     }
-    std::vector<const gcl::Expr*> conjuncts;
-    collect_conjuncts(action.guard, conjuncts);
+    const std::vector<const gcl::Expr*> conjuncts = gcl::conjuncts_of(action.guard);
     for (const gcl::Expr* c : conjuncts) {
       bool always_true = true;
       for (const AbsBox& b : rs.boxes) {
@@ -174,13 +138,15 @@ std::vector<Diagnostic> check_absint(const gcl::SystemAst& ast,
 
   // --- absint-init-not-closed -----------------------------------------
   if (ast.init) {
-    if (full_valuation_count(cards, opts.exact_budget) <= opts.exact_budget) {
-      if (auto v = find_exact_violation(ast, cards)) {
+    const std::vector<std::size_t> all = gcl::all_vars(cards.size());
+    if (gcl::valuation_count(all, cards, opts.exact_budget) <= opts.exact_budget) {
+      if (auto v = find_exact_violation(ast, all, cards)) {
         out.push_back(
             {Rule::AbsintInitNotClosed, Severity::Warning, ast.init_loc,
              "init predicate is not closed under the actions: action '" + v->action +
-                 "' leads from " + format_state(ast, v->pre) + " (in init) to " +
-                 format_state(ast, v->post) + " (outside init)",
+                 "' leads from " + gcl::format_valuation(ast, all, v->pre) +
+                 " (in init) to " + gcl::format_valuation(ast, all, v->post) +
+                 " (outside init)",
              "closure of the legitimate-state predicate is the precondition of the "
              "paper's Theorems 1 and 3; widen init to an invariant if it is meant "
              "to be one"});

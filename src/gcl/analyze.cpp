@@ -1,184 +1,15 @@
 #include "gcl/analyze.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
 
-#include "gcl/compile.hpp"
+#include "gcl/valuation.hpp"
 
 namespace cref::gcl {
 
 namespace {
-
-std::vector<int> cards_of(const SystemAst& ast) {
-  std::vector<int> cards;
-  cards.reserve(ast.vars.size());
-  for (const VarDeclAst& v : ast.vars) cards.push_back(v.cardinality);
-  return cards;
-}
-
-void collect_vars(const Expr& e, std::vector<char>& used) {
-  if (e.op == Op::Var && e.var_index < used.size()) used[e.var_index] = 1;
-  for (const Expr& c : e.children) collect_vars(c, used);
-}
-
-std::vector<std::size_t> used_list(const std::vector<char>& used) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < used.size(); ++i)
-    if (used[i]) out.push_back(i);
-  return out;
-}
-
-/// Product of the referenced domains, saturating at cap + 1.
-std::size_t valuation_count(const std::vector<std::size_t>& vars,
-                            const std::vector<int>& cards, std::size_t cap) {
-  std::size_t p = 1;
-  for (std::size_t v : vars) {
-    p *= static_cast<std::size_t>(cards[v]);
-    if (p > cap) return cap + 1;
-  }
-  return p;
-}
-
-/// Odometer over the listed variables; every other variable stays 0
-/// (sound: callers only evaluate expressions over the listed vars).
-/// `fn` returns false to stop early.
-template <class Fn>
-void for_each_valuation(const std::vector<std::size_t>& vars,
-                        const std::vector<int>& cards, StateVec& s, Fn&& fn) {
-  for (std::size_t v : vars) s[v] = 0;
-  while (true) {
-    if (!fn(s)) return;
-    std::size_t k = 0;
-    for (; k < vars.size(); ++k) {
-      std::size_t v = vars[k];
-      if (static_cast<int>(++s[v]) < cards[v]) break;
-      s[v] = 0;
-    }
-    if (k == vars.size()) return;
-  }
-}
-
-std::string format_valuation(const std::vector<std::size_t>& vars, const StateVec& s,
-                             const SystemAst& ast) {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    if (i) out << ", ";
-    out << ast.vars[vars[i]].name << "=" << static_cast<int>(s[vars[i]]);
-  }
-  return out.str();
-}
-
-// --- interval analysis (fallback above the exact budget) -------------
-
-struct Interval {
-  std::int64_t lo = 0, hi = 0;
-  bool surely_true() const { return lo > 0 || hi < 0; }  // 0 not in range
-  bool surely_false() const { return lo == 0 && hi == 0; }
-};
-
-Interval interval_eval(const Expr& e, const std::vector<int>& cards) {
-  auto iv = [&](int i) { return interval_eval(e.children[i], cards); };
-  switch (e.op) {
-    case Op::Const: return {e.value, e.value};
-    case Op::Var: return {0, cards[e.var_index] - 1};
-    case Op::Not: {
-      Interval a = iv(0);
-      if (a.surely_false()) return {1, 1};
-      if (a.surely_true()) return {0, 0};
-      return {0, 1};
-    }
-    case Op::Neg: {
-      Interval a = iv(0);
-      return {-a.hi, -a.lo};
-    }
-    case Op::Add: {
-      Interval a = iv(0), b = iv(1);
-      return {a.lo + b.lo, a.hi + b.hi};
-    }
-    case Op::Sub: {
-      Interval a = iv(0), b = iv(1);
-      return {a.lo - b.hi, a.hi - b.lo};
-    }
-    case Op::Mul: {
-      Interval a = iv(0), b = iv(1);
-      std::int64_t c[4] = {a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi};
-      return {*std::min_element(c, c + 4), *std::max_element(c, c + 4)};
-    }
-    case Op::Mod: {
-      Interval a = iv(0), b = iv(1);
-      std::int64_t m = std::max(std::llabs(b.lo), std::llabs(b.hi));
-      if (m == 0) return {0, 0};  // divisor surely 0: eval yields 0
-      // Already-reduced operand: a in [0, k) for every possible k.
-      if (b.lo > 0 && a.lo >= 0 && a.hi < b.lo) return a;
-      return {0, m - 1};
-    }
-    case Op::Div: {
-      Interval a = iv(0), b = iv(1);
-      std::vector<std::int64_t> cand;
-      if (b.lo <= 0 && 0 <= b.hi) cand.push_back(0);  // zero divisor -> 0
-      for (std::int64_t d : {b.lo, b.hi, std::int64_t{1}, std::int64_t{-1}}) {
-        if (d == 0 || d < b.lo || d > b.hi) continue;
-        cand.push_back(eval_div(a.lo, d));
-        cand.push_back(eval_div(a.hi, d));
-      }
-      if (cand.empty()) return {0, 0};
-      return {*std::min_element(cand.begin(), cand.end()),
-              *std::max_element(cand.begin(), cand.end())};
-    }
-    case Op::Eq: {
-      Interval a = iv(0), b = iv(1);
-      if (a.lo == a.hi && a.lo == b.lo && b.lo == b.hi) return {1, 1};
-      if (a.hi < b.lo || b.hi < a.lo) return {0, 0};
-      return {0, 1};
-    }
-    case Op::Ne: {
-      Interval a = iv(0), b = iv(1);
-      if (a.lo == a.hi && a.lo == b.lo && b.lo == b.hi) return {0, 0};
-      if (a.hi < b.lo || b.hi < a.lo) return {1, 1};
-      return {0, 1};
-    }
-    case Op::Lt: {
-      Interval a = iv(0), b = iv(1);
-      if (a.hi < b.lo) return {1, 1};
-      if (a.lo >= b.hi) return {0, 0};
-      return {0, 1};
-    }
-    case Op::Le: {
-      Interval a = iv(0), b = iv(1);
-      if (a.hi <= b.lo) return {1, 1};
-      if (a.lo > b.hi) return {0, 0};
-      return {0, 1};
-    }
-    case Op::Gt: {
-      Interval a = iv(0), b = iv(1);
-      if (a.lo > b.hi) return {1, 1};
-      if (a.hi <= b.lo) return {0, 0};
-      return {0, 1};
-    }
-    case Op::Ge: {
-      Interval a = iv(0), b = iv(1);
-      if (a.lo >= b.hi) return {1, 1};
-      if (a.hi < b.lo) return {0, 0};
-      return {0, 1};
-    }
-    case Op::And: {
-      Interval a = iv(0), b = iv(1);
-      if (a.surely_false() || b.surely_false()) return {0, 0};
-      if (a.surely_true() && b.surely_true()) return {1, 1};
-      return {0, 1};
-    }
-    case Op::Or: {
-      Interval a = iv(0), b = iv(1);
-      if (a.surely_true() || b.surely_true()) return {1, 1};
-      if (a.surely_false() && b.surely_false()) return {0, 0};
-      return {0, 1};
-    }
-  }
-  return {0, 0};
-}
 
 std::string domain_str(int card) { return "0.." + std::to_string(card - 1); }
 
@@ -189,11 +20,11 @@ std::string domain_str(int card) { return "0.." + std::to_string(card - 1); }
 std::vector<Diagnostic> check_guards(const SystemAst& ast, const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
   std::vector<int> cards = cards_of(ast);
-  StateVec s(cards.size(), 0);
+  StateVec s;
   for (const ActionAst& a : ast.actions) {
     std::vector<char> used(cards.size(), 0);
-    collect_vars(a.guard, used);
-    std::vector<std::size_t> vars = used_list(used);
+    mark_vars(a.guard, used);
+    std::vector<std::size_t> vars = marked_vars(used);
     bool any_true = false, any_false = false;
     if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
       for_each_valuation(vars, cards, s, [&](const StateVec& st) {
@@ -201,7 +32,7 @@ std::vector<Diagnostic> check_guards(const SystemAst& ast, const AnalyzeOptions&
         return !(any_true && any_false);
       });
     } else {
-      Interval g = interval_eval(a.guard, cards);
+      Range g = range_of(a.guard, cards);
       if (!g.surely_false() && !g.surely_true()) continue;  // undecided
       any_true = !g.surely_false();
       any_false = !g.surely_true();
@@ -228,14 +59,14 @@ std::vector<Diagnostic> check_domain_flow(const SystemAst& ast,
                                           const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
   std::vector<int> cards = cards_of(ast);
-  StateVec s(cards.size(), 0);
+  StateVec s;
   for (const ActionAst& a : ast.actions) {
     for (const AssignmentAst& asg : a.assignments) {
       int card = cards[asg.var_index];
       std::vector<char> used(cards.size(), 0);
-      collect_vars(a.guard, used);  // guard-aware: only enabled states matter
-      collect_vars(asg.value, used);
-      std::vector<std::size_t> vars = used_list(used);
+      mark_vars(a.guard, used);  // guard-aware: only enabled states matter
+      mark_vars(asg.value, used);
+      std::vector<std::size_t> vars = marked_vars(used);
       if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
         bool any = false;
         std::int64_t mn = 0, mx = 0;
@@ -264,7 +95,7 @@ std::vector<Diagnostic> check_domain_flow(const SystemAst& ast,
                  "') if a mod-" + std::to_string(card) +
                  " counter is intended, or tighten the guard"});
       } else {
-        Interval v = interval_eval(asg.value, cards);
+        Range v = range_of(asg.value, cards);
         if (v.lo >= 0 && v.hi < card) continue;
         out.push_back(
             {Rule::AssignWraps, Severity::Warning, asg.loc,
@@ -291,7 +122,7 @@ struct DivisorScan {
   std::vector<Diagnostic> out;
 
   explicit DivisorScan(const SystemAst& a, const AnalyzeOptions& o)
-      : ast(a), opts(o), cards(cards_of(a)), s(cards.size(), 0) {}
+      : ast(a), opts(o), cards(cards_of(a)) {}
 
   // Walks `e`; `guard` (may be null) restricts RHS checks to states
   // where the enclosing action is enabled.
@@ -301,9 +132,9 @@ struct DivisorScan {
     const Expr& divisor = e.children[1];
     const char* sym = e.op == Op::Div ? "/" : "%";
     std::vector<char> used(cards.size(), 0);
-    collect_vars(divisor, used);
-    if (guard) collect_vars(*guard, used);
-    std::vector<std::size_t> vars = used_list(used);
+    mark_vars(divisor, used);
+    if (guard) mark_vars(*guard, used);
+    std::vector<std::size_t> vars = marked_vars(used);
     if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
       bool any_zero = false, any_nonzero = false, any_enabled = false;
       std::string witness;
@@ -311,7 +142,7 @@ struct DivisorScan {
         if (guard && eval(*guard, st) == 0) return true;
         any_enabled = true;
         if (eval(divisor, st) == 0) {
-          if (!any_zero) witness = format_valuation(vars, st, ast);
+          if (!any_zero) witness = format_valuation(ast, vars, st);
           any_zero = true;
         } else {
           any_nonzero = true;
@@ -335,7 +166,7 @@ struct DivisorScan {
                        "the divisor's domain away from 0"});
       }
     } else {
-      Interval d = interval_eval(divisor, cards);
+      Range d = range_of(divisor, cards);
       if (d.surely_false()) {
         out.push_back({Rule::DivByZero, Severity::Error, e.loc,
                        "divisor of '" + std::string(sym) + "' in " + ctx +
@@ -378,8 +209,8 @@ namespace {
 bool guard_provably_false(const ActionAst& a, const std::vector<int>& cards,
                           const AnalyzeOptions& opts, StateVec& s) {
   std::vector<char> used(cards.size(), 0);
-  collect_vars(a.guard, used);
-  std::vector<std::size_t> vars = used_list(used);
+  mark_vars(a.guard, used);
+  std::vector<std::size_t> vars = marked_vars(used);
   if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
     bool any_true = false;
     for_each_valuation(vars, cards, s, [&](const StateVec& st) {
@@ -388,7 +219,7 @@ bool guard_provably_false(const ActionAst& a, const std::vector<int>& cards,
     });
     return !any_true;
   }
-  return interval_eval(a.guard, cards).surely_false();
+  return range_of(a.guard, cards).surely_false();
 }
 
 }  // namespace
@@ -396,20 +227,20 @@ bool guard_provably_false(const ActionAst& a, const std::vector<int>& cards,
 std::vector<Diagnostic> check_liveness(const SystemAst& ast, const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
   std::vector<int> cards = cards_of(ast);
-  StateVec scratch(cards.size(), 0);
+  StateVec scratch;
   std::vector<char> read(ast.vars.size(), 0), written(ast.vars.size(), 0);
   for (const ActionAst& a : ast.actions) {
     // A provably-dead action (guard-always-false, reported by
     // check_guards) contributes no reads or writes: a variable
     // referenced only there is as unused as if the action were deleted.
     if (guard_provably_false(a, cards, opts, scratch)) continue;
-    collect_vars(a.guard, read);
+    mark_vars(a.guard, read);
     for (const AssignmentAst& asg : a.assignments) {
-      collect_vars(asg.value, read);
+      mark_vars(asg.value, read);
       if (asg.var_index < written.size()) written[asg.var_index] = 1;
     }
   }
-  if (ast.init) collect_vars(*ast.init, read);
+  if (ast.init) mark_vars(*ast.init, read);
   for (std::size_t i = 0; i < ast.vars.size(); ++i) {
     const VarDeclAst& v = ast.vars[i];
     if (!read[i] && !written[i]) {
@@ -439,7 +270,7 @@ std::vector<Diagnostic> check_liveness(const SystemAst& ast, const AnalyzeOption
 std::vector<Diagnostic> check_actions(const SystemAst& ast, const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
   std::vector<int> cards = cards_of(ast);
-  StateVec s(cards.size(), 0);
+  StateVec s;
 
   // Duplicate names.
   std::map<std::string, const ActionAst*> first_decl;
@@ -457,35 +288,25 @@ std::vector<Diagnostic> check_actions(const SystemAst& ast, const AnalyzeOptions
   // Stutter and self-disabling, decided by one exhaustive walk each.
   for (const ActionAst& a : ast.actions) {
     std::vector<char> used(cards.size(), 0);
-    collect_vars(a.guard, used);
+    mark_vars(a.guard, used);
     for (const AssignmentAst& asg : a.assignments) {
-      collect_vars(asg.value, used);
+      mark_vars(asg.value, used);
       if (asg.var_index < used.size()) used[asg.var_index] = 1;
     }
-    std::vector<std::size_t> vars = used_list(used);
+    std::vector<std::size_t> vars = marked_vars(used);
     if (valuation_count(vars, cards, opts.exact_budget) > opts.exact_budget)
       continue;  // above the exact budget: these two rules stay silent
 
     bool any_enabled = false, all_identity = true;
     std::string re_witness;
     StateVec post;
-    std::vector<std::int64_t> values;
     for_each_valuation(vars, cards, s, [&](const StateVec& st) {
       if (eval(a.guard, st) == 0) return true;
       any_enabled = true;
-      // Apply the multiple assignment against the old state, with the
-      // compiler's modular reduction into each target's domain.
-      values.clear();
-      for (const AssignmentAst& asg : a.assignments)
-        values.push_back(eval(asg.value, st));
-      post = st;
-      for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-        std::size_t tgt = a.assignments[i].var_index;
-        post[tgt] = static_cast<Value>(eval_mod(values[i], cards[tgt]));
-      }
+      post_state(a, cards, st, post);
       if (post != st) all_identity = false;
       if (re_witness.empty() && eval(a.guard, post) != 0)
-        re_witness = format_valuation(vars, st, ast);
+        re_witness = format_valuation(ast, vars, st);
       return !(!all_identity && !re_witness.empty());  // both facts known
     });
 
@@ -534,10 +355,10 @@ std::vector<Diagnostic> check_init(const SystemAst& ast, const AnalyzeOptions& o
   std::vector<Diagnostic> out;
   if (!ast.init) return out;  // wrapper: no initial states by design
   std::vector<int> cards = cards_of(ast);
-  StateVec s(cards.size(), 0);
+  StateVec s;
   std::vector<char> used(cards.size(), 0);
-  collect_vars(*ast.init, used);
-  std::vector<std::size_t> vars = used_list(used);
+  mark_vars(*ast.init, used);
+  std::vector<std::size_t> vars = marked_vars(used);
   bool any_true = false;
   if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
     for_each_valuation(vars, cards, s, [&](const StateVec& st) {
@@ -545,7 +366,7 @@ std::vector<Diagnostic> check_init(const SystemAst& ast, const AnalyzeOptions& o
       return !any_true;
     });
   } else {
-    Interval g = interval_eval(*ast.init, cards);
+    Range g = range_of(*ast.init, cards);
     if (!g.surely_false()) return out;  // undecided or satisfiable
   }
   if (!any_true) {
@@ -582,17 +403,17 @@ ReadWriteReport read_write_report(const SystemAst& ast) {
   std::vector<std::set<int>> writers(ast.vars.size()), readers(ast.vars.size());
   for (const ActionAst& a : ast.actions) {
     std::vector<char> reads(ast.vars.size(), 0), writes(ast.vars.size(), 0);
-    collect_vars(a.guard, reads);
+    mark_vars(a.guard, reads);
     for (const AssignmentAst& asg : a.assignments) {
-      collect_vars(asg.value, reads);
+      mark_vars(asg.value, reads);
       if (asg.var_index < writes.size()) writes[asg.var_index] = 1;
     }
     ActionRW rw;
     rw.action = a.name;
     rw.process = a.process;
     rw.loc = a.loc;
-    rw.reads = used_list(reads);
-    rw.writes = used_list(writes);
+    rw.reads = marked_vars(reads);
+    rw.writes = marked_vars(writes);
     if (a.process >= 0) {
       for (std::size_t v : rw.reads) readers[v].insert(a.process);
       for (std::size_t v : rw.writes) writers[v].insert(a.process);

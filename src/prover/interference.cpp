@@ -2,76 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 
+#include "refinement/onthefly.hpp"
+
 namespace cref::prover {
-namespace {
-
-/// Iterative Tarjan SCC over the (tiny) variable dependency graph,
-/// self-edges excluded. Returns the component id of each variable;
-/// components are numbered in reverse topological order (a component's
-/// successors have smaller ids), the usual Tarjan property.
-std::vector<std::size_t> scc_of(const std::vector<std::vector<std::size_t>>& out,
-                                std::size_t* num_comps, std::vector<bool>* nontrivial) {
-  const std::size_t n = out.size();
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index(n, kUnvisited), low(n, 0), comp(n, kUnvisited);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  std::size_t next_index = 0, next_comp = 0;
-  nontrivial->assign(n, false);
-
-  struct Frame {
-    std::size_t v;
-    std::size_t edge;
-  };
-  std::vector<Frame> frames;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    frames.push_back({root, 0});
-    index[root] = low[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.edge < out[f.v].size()) {
-        const std::size_t w = out[f.v][f.edge++];
-        if (index[w] == kUnvisited) {
-          index[w] = low[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back({w, 0});
-        } else if (on_stack[w]) {
-          low[f.v] = std::min(low[f.v], index[w]);
-        }
-      } else {
-        const std::size_t v = f.v;
-        frames.pop_back();
-        if (!frames.empty()) low[frames.back().v] = std::min(low[frames.back().v], low[v]);
-        if (low[v] == index[v]) {
-          std::size_t members = 0;
-          std::size_t w;
-          do {
-            w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            comp[w] = next_comp;
-            ++members;
-          } while (w != v);
-          if (members > 1) {
-            for (std::size_t u = 0; u < n; ++u)
-              if (comp[u] == next_comp) (*nontrivial)[u] = true;
-          }
-          ++next_comp;
-        }
-      }
-    }
-  }
-  *num_comps = next_comp;
-  return comp;
-}
-
-}  // namespace
 
 InterferenceGraph build_interference(const gcl::SystemAst& ast) {
   InterferenceGraph g;
@@ -93,11 +29,13 @@ InterferenceGraph build_interference(const gcl::SystemAst& ast) {
   g.dep_out.resize(n);
   for (std::size_t u = 0; u < n; ++u) g.dep_out[u].assign(out[u].begin(), out[u].end());
 
-  // SCC condensation + longest-path layering.
-  std::size_t num_comps = 0;
-  std::vector<bool> nontrivial;
-  const std::vector<std::size_t> comp = scc_of(g.dep_out, &num_comps, &nontrivial);
-  g.acyclic = std::none_of(nontrivial.begin(), nontrivial.end(), [](bool b) { return b; });
+  // SCC condensation + longest-path layering. dep_out is sorted,
+  // distinct and free of self-edges, as LazyScc expects.
+  const LazyScc scc(n, [&](StateId u) { return std::span<const StateId>(g.dep_out[u]); });
+  const std::size_t num_comps = scc.count();
+  std::vector<std::size_t> comp(n);
+  for (std::size_t u = 0; u < n; ++u) comp[u] = scc.component(u);
+  g.acyclic = scc.nontrivial_count() == 0;
 
   // Components are numbered in reverse topological order, so iterating
   // comp ids DESCENDING visits sources before sinks; a component's layer

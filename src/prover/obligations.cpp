@@ -4,7 +4,7 @@
 #include <deque>
 #include <unordered_set>
 
-#include "gcl/compile.hpp"
+#include "gcl/valuation.hpp"
 #include "prover/rank.hpp"
 #include "prover/templates.hpp"
 
@@ -13,65 +13,8 @@ namespace cref::prover {
 using gcl::Expr;
 using gcl::Op;
 
-ExprRange expr_range(const Expr& e, const std::vector<int>& cards) {
-  auto bool_range = [] { return ExprRange{0, 1}; };
-  switch (e.op) {
-    case Op::Const:
-      return {e.value, e.value};
-    case Op::Var: {
-      const int k = e.var_index < cards.size() ? cards[e.var_index] : 2;
-      return {0, k - 1};
-    }
-    case Op::Not:
-    case Op::Eq:
-    case Op::Ne:
-    case Op::Lt:
-    case Op::Le:
-    case Op::Gt:
-    case Op::Ge:
-    case Op::And:
-    case Op::Or:
-      return bool_range();
-    case Op::Neg: {
-      const ExprRange r = expr_range(e.children[0], cards);
-      return {-r.hi, -r.lo};
-    }
-    case Op::Add: {
-      const ExprRange a = expr_range(e.children[0], cards);
-      const ExprRange b = expr_range(e.children[1], cards);
-      return {a.lo + b.lo, a.hi + b.hi};
-    }
-    case Op::Sub: {
-      const ExprRange a = expr_range(e.children[0], cards);
-      const ExprRange b = expr_range(e.children[1], cards);
-      return {a.lo - b.hi, a.hi - b.lo};
-    }
-    case Op::Mul: {
-      const ExprRange a = expr_range(e.children[0], cards);
-      const ExprRange b = expr_range(e.children[1], cards);
-      const std::int64_t p[4] = {a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi};
-      return {*std::min_element(p, p + 4), *std::max_element(p, p + 4)};
-    }
-    case Op::Mod: {
-      // Euclidean: 0 <= a % b < |b| for b != 0 (eval_mod(a, 0) == a).
-      const ExprRange a = expr_range(e.children[0], cards);
-      const ExprRange b = expr_range(e.children[1], cards);
-      const std::int64_t mag = std::max(std::abs(b.lo), std::abs(b.hi));
-      if (b.lo <= 0 && b.hi >= 0)  // divisor may be 0: a % 0 == a
-        return {std::min<std::int64_t>(0, a.lo), std::max(a.hi, mag - 1)};
-      return {0, mag - 1};
-    }
-    case Op::Div: {
-      const ExprRange a = expr_range(e.children[0], cards);
-      const std::int64_t mag = std::max(std::abs(a.lo), std::abs(a.hi));
-      return {-mag, mag};
-    }
-  }
-  return {0, 0};
-}
-
 Expr wrap_mod(Expr e, int k, const std::vector<int>& cards) {
-  const ExprRange r = expr_range(e, cards);
+  const gcl::Range r = gcl::range_of(e, cards);
   if (r.lo >= 0 && r.hi < k) return e;
   return make_binary(Op::Mod, std::move(e), make_const(k));
 }
@@ -95,8 +38,8 @@ Expr disj(std::vector<Expr> terms) {
 AlphaCtx::AlphaCtx(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
                    const gcl::AlphaSpec& spec)
     : c(c_ast), a(a_ast), alpha(spec) {
-  c_cards = prover_cards(c_ast);
-  a_cards = prover_cards(a_ast);
+  c_cards = gcl::cards_of(c_ast);
+  a_cards = gcl::cards_of(a_ast);
   img.resize(a_ast.vars.size(), make_const(0));
   for (const gcl::AlphaAssign& d : spec.defs)
     img[d.a_index] = wrap_mod(d.value, a_cards[d.a_index], c_cards);
@@ -155,16 +98,11 @@ Expr not_a_deadlock_expr(const AlphaCtx& ctx) {
   return disj(std::move(fires));
 }
 
-void apply_a_action(const AlphaCtx& ctx, std::size_t bi, const StateVec& as,
-                    StateVec& out) {
-  apply_action_state(ctx.a.actions[bi], ctx.a_cards, as, out);
-}
-
 bool a_is_deadlock(const AlphaCtx& ctx, const StateVec& as) {
   StateVec post;
   for (const gcl::ActionAst& b : ctx.a.actions) {
     if (gcl::eval(b.guard, as) == 0) continue;
-    apply_action_state(b, ctx.a_cards, as, post);
+    gcl::post_state(b, ctx.a_cards, as, post);
     if (post != as) return false;
   }
   return true;
@@ -175,7 +113,7 @@ std::ptrdiff_t find_direct_match(const AlphaCtx& ctx, const StateVec& as,
   StateVec post;
   for (std::size_t bi = 0; bi < ctx.a.actions.size(); ++bi) {
     if (gcl::eval(ctx.a.actions[bi].guard, as) == 0) continue;
-    apply_action_state(ctx.a.actions[bi], ctx.a_cards, as, post);
+    gcl::post_state(ctx.a.actions[bi], ctx.a_cards, as, post);
     if (post != as && post == at) return static_cast<std::ptrdiff_t>(bi);
   }
   return -1;
@@ -205,7 +143,7 @@ std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
       -> std::optional<std::size_t> {
     for (std::size_t bi = 0; bi < ctx.a.actions.size(); ++bi) {
       if (gcl::eval(ctx.a.actions[bi].guard, s) == 0) continue;
-      apply_action_state(ctx.a.actions[bi], ctx.a_cards, s, post);
+      gcl::post_state(ctx.a.actions[bi], ctx.a_cards, s, post);
       if (post == s) continue;
       const std::size_t id = pack.encode(post);
       if (id == target) {

@@ -11,8 +11,8 @@
 // program's variables is rewritten over the concrete ones by replacing
 // every abstract variable t with its image expression — the alpha
 // definition wrapped into the abstract domain with the compiler's
-// Euclidean `% card` unless a conservative interval analysis proves the
-// definition already in range. eval(alpha_subst(e), s) then equals
+// Euclidean `% card` unless gcl::range_of proves the definition already
+// in range. eval(alpha_subst(e), s) then equals
 // eval(e, alpha_image(s)) pointwise, which is what makes the purely
 // syntactic obligations speak about A's transitions.
 
@@ -26,16 +26,8 @@
 
 namespace cref::prover {
 
-/// Conservative integer interval of `e` over the declared domains.
-struct ExprRange {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-};
-
-ExprRange expr_range(const gcl::Expr& e, const std::vector<int>& cards);
-
-/// `e` when the interval analysis proves 0 <= e < k everywhere, else
-/// `(e) % k` (the Euclidean wrap gcl::compile applies to assignments).
+/// `e` when gcl::range_of proves 0 <= e < k everywhere, else `(e) % k`
+/// (the Euclidean wrap gcl::compile applies to assignments).
 gcl::Expr wrap_mod(gcl::Expr e, int k, const std::vector<int>& cards);
 
 /// AND-fold (Const 1 when empty) / OR-fold (Const 0 when empty).
@@ -106,11 +98,5 @@ std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
                                                     const StateVec& at,
                                                     std::size_t max_nodes,
                                                     bool* exhausted);
-
-/// Executes abstract action `bi` on `as` (guard not checked) into
-/// `out`, with the compiler's multiple-assignment + Euclidean-wrap
-/// semantics.
-void apply_a_action(const AlphaCtx& ctx, std::size_t bi, const StateVec& as,
-                    StateVec& out);
 
 }  // namespace cref::prover

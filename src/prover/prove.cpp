@@ -6,9 +6,9 @@
 
 #include "absint/closure.hpp"
 #include "absint/transfer.hpp"
-#include "gcl/compile.hpp"
 #include "gcl/diag.hpp"
 #include "gcl/pretty.hpp"
+#include "gcl/valuation.hpp"
 #include "prover/templates.hpp"
 
 namespace cref::prover {
@@ -17,8 +17,6 @@ using gcl::Expr;
 using gcl::Op;
 
 namespace {
-
-bool truthy(const Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
 
 /// Per-action synthesis state.
 struct ActionState {
@@ -57,7 +55,7 @@ bool discharge_closure_action(const gcl::SystemAst& ast, const gcl::Expr& target
                               const DecideOptions& dopts, int* absint_ok,
                               std::vector<Obligation>& obligations) {
   const gcl::ActionAst& a = ast.actions[action_index];
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
 
   // (a) Vacuity: guard && changed && P unsatisfiable (an action that
   // cannot fire inside P preserves it trivially). P conjuncts are
@@ -171,7 +169,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
   cert.budget = opts.budget;
   cert.ranked_at.assign(ast.actions.size(), kUnranked);
 
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   const std::size_t n = ast.vars.size();
   const DecideOptions dopts{opts.budget};
   const InterferenceGraph ig = build_interference(ast);
@@ -278,7 +276,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
   // Enumerated-table final component for whatever the templates missed.
   if (!unranked.empty()) {
     const Packing pack(cards);
-    const std::size_t total = valuation_count(all_vars(n), cards, opts.budget);
+    const std::size_t total = gcl::valuation_count(gcl::all_vars(n), cards, opts.budget);
     if (total > opts.budget) {
       std::string names;
       for (std::size_t i : unranked) names += (names.empty() ? "" : ", ") + ast.actions[i].name;
@@ -290,13 +288,13 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
       // outside P on which every template component ties.
       auto residual_succ = [&](const StateVec& s, StateVec& scratch,
                                const std::function<void(std::size_t)>& emit) {
-        if (target && !truthy(not_p, s)) return;
+        if (target && !gcl::truthy(not_p, s)) return;
         for (std::size_t i : unranked) {
           const gcl::ActionAst& a = ast.actions[i];
-          if (!truthy(a.guard, s)) continue;
-          apply_action_state(a, cards, s, scratch);
+          if (!gcl::truthy(a.guard, s)) continue;
+          gcl::post_state(a, cards, s, scratch);
           if (scratch == s) continue;
-          if (target && !truthy(not_p, scratch)) continue;
+          if (target && !gcl::truthy(not_p, scratch)) continue;
           bool tied = true;
           for (const RankComponent& c : cert.components)
             tied = tied && gcl::eval(c.expr, s) == gcl::eval(c.expr, scratch);
@@ -306,7 +304,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
 
       std::vector<std::uint32_t> indeg(total, 0);
       StateVec s, post;
-      for_each_valuation(all_vars(n), cards, s, [&](const StateVec& sv) {
+      gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
         residual_succ(sv, post, [&](std::size_t t) { ++indeg[t]; });
         return true;
       });
@@ -360,7 +358,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
   // Progress: no deadlock outside P.
   bool progress_ok = true;
   if (target && result.failures.empty()) {
-    const std::vector<const Expr*> p_conjuncts = conjuncts_of(*target);
+    const std::vector<const Expr*> p_conjuncts = gcl::conjuncts_of(*target);
     std::vector<Obligation> progress_obs;
     bool local_ok = true;
     for (std::size_t ci = 0; ci < p_conjuncts.size(); ++ci) {
@@ -385,7 +383,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
       cert.obligations.insert(cert.obligations.end(), progress_obs.begin(),
                               progress_obs.end());
     } else {
-      const std::size_t total = valuation_count(all_vars(n), cards, opts.budget);
+      const std::size_t total = gcl::valuation_count(gcl::all_vars(n), cards, opts.budget);
       if (total > opts.budget) {
         progress_ok = false;
         result.failures.push_back(
@@ -393,11 +391,11 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
       } else {
         StateVec s, post;
         bool deadlock = false;
-        for_each_valuation(all_vars(n), cards, s, [&](const StateVec& sv) {
-          if (!truthy(not_p, sv)) return true;
+        gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
+          if (!gcl::truthy(not_p, sv)) return true;
           for (const gcl::ActionAst& a : ast.actions) {
-            if (!truthy(a.guard, sv)) continue;
-            apply_action_state(a, cards, sv, post);
+            if (!gcl::truthy(a.guard, sv)) continue;
+            gcl::post_state(a, cards, sv, post);
             if (post != sv) return true;
           }
           deadlock = true;
@@ -418,7 +416,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
   // Closure (stabilization = convergence + closure); failure here keeps
   // the convergence proof, it only clears closure_proved.
   if (target && result.failures.empty() && progress_ok) {
-    const std::vector<const Expr*> p_conjuncts = conjuncts_of(*target);
+    const std::vector<const Expr*> p_conjuncts = gcl::conjuncts_of(*target);
     int absint_ok = -1;
     bool all = true;
     std::vector<Obligation> closure_obs;
@@ -466,7 +464,7 @@ bool reject(std::string* why, std::string msg) {
 /// and (when claimed) P is closed. ranked_at is not trusted at all.
 bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
                      const ConvergenceCertificate& cert, std::string* why) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   const std::size_t n = ast.vars.size();
   const Packing pack(cards);
 
@@ -477,23 +475,23 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
   StateVec s, post;
   bool ok = true;
   std::string reason;
-  for_each_valuation(all_vars(n), cards, s, [&](const StateVec& sv) {
-    const bool in_p = target && truthy(*target, sv);
+  gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
+    const bool in_p = target && gcl::truthy(*target, sv);
     bool has_move = false;
     for (const gcl::ActionAst& a : ast.actions) {
-      if (!truthy(a.guard, sv)) continue;
-      apply_action_state(a, cards, sv, post);
+      if (!gcl::truthy(a.guard, sv)) continue;
+      gcl::post_state(a, cards, sv, post);
       if (post == sv) continue;
       has_move = true;
       if (in_p) {
-        if (cert.closure_proved && !truthy(*target, post)) {
+        if (cert.closure_proved && !gcl::truthy(*target, post)) {
           ok = false;
           reason = "closure violated by " + a.name;
           return false;
         }
         continue;
       }
-      if (target && truthy(*target, post)) continue;  // escaped into P
+      if (target && gcl::truthy(*target, post)) continue;  // escaped into P
       // Lexicographic strict decrease on a !P -> !P transition.
       bool decreased = false;
       for (const RankComponent& c : cert.components) {
@@ -538,7 +536,7 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
 /// enumeration that is out of budget, so they are rejected here.
 bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
                      const ConvergenceCertificate& cert, std::string* why) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   const DecideOptions dopts{cert.budget};
 
   for (const RankComponent& c : cert.components)
@@ -586,7 +584,7 @@ bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
   }
 
   if (target) {
-    for (const Expr* pi : conjuncts_of(*target)) {
+    for (const Expr* pi : gcl::conjuncts_of(*target)) {
       const Expr neg = make_unary(Op::Not, *pi);
       const std::vector<const Expr*> ctx = {&neg};
       const std::vector<bool> drop = {false};
@@ -603,7 +601,7 @@ bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
         return reject(why, "no progress witness for a violated conjunct");
     }
     if (cert.closure_proved) {
-      const std::vector<const Expr*> p_conjuncts = conjuncts_of(*target);
+      const std::vector<const Expr*> p_conjuncts = gcl::conjuncts_of(*target);
       int absint_ok = -1;
       std::vector<Obligation> scratch;
       for (std::size_t i = 0; i < ast.actions.size(); ++i) {
@@ -646,9 +644,9 @@ bool validate_certificate(const gcl::SystemAst& ast, const gcl::Expr* target,
     if (r != kUnranked && r >= cert.components.size())
       return reject(why, "rank site out of range");
 
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   const std::size_t total =
-      valuation_count(all_vars(ast.vars.size()), cards, cert.budget);
+      gcl::valuation_count(gcl::all_vars(ast.vars.size()), cards, cert.budget);
   if (total <= cert.budget) return validate_mode_a(ast, target, cert, why);
   return validate_mode_b(ast, target, cert, why);
 }

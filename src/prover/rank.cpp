@@ -1,10 +1,9 @@
 #include "prover/rank.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "absint/transfer.hpp"
-#include "gcl/compile.hpp"
+#include "gcl/valuation.hpp"
 
 namespace cref::prover {
 
@@ -54,47 +53,6 @@ bool expr_equal(const gcl::Expr& a, const gcl::Expr& b) {
   for (std::size_t i = 0; i < a.children.size(); ++i)
     if (!expr_equal(a.children[i], b.children[i])) return false;
   return true;
-}
-
-namespace {
-
-void mark_vars(const Expr& e, std::vector<char>& used) {
-  if (e.op == Op::Var && e.var_index < used.size()) used[e.var_index] = 1;
-  for (const Expr& c : e.children) mark_vars(c, used);
-}
-
-std::vector<std::size_t> used_to_list(const std::vector<char>& used) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < used.size(); ++i)
-    if (used[i]) out.push_back(i);
-  return out;
-}
-
-bool truthy(const Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
-
-}  // namespace
-
-std::vector<std::size_t> footprint(const gcl::Expr& e, std::size_t num_vars) {
-  std::vector<char> used(num_vars, 0);
-  mark_vars(e, used);
-  return used_to_list(used);
-}
-
-std::vector<const gcl::Expr*> conjuncts_of(const gcl::Expr& e) {
-  std::vector<const Expr*> out;
-  std::vector<const Expr*> stack{&e};
-  while (!stack.empty()) {
-    const Expr* cur = stack.back();
-    stack.pop_back();
-    if (cur->op == Op::And) {
-      // Push right first so conjuncts come out left-to-right.
-      stack.push_back(&cur->children[1]);
-      stack.push_back(&cur->children[0]);
-    } else {
-      out.push_back(cur);
-    }
-  }
-  return out;
 }
 
 // --- post-state substitution -----------------------------------------
@@ -161,7 +119,7 @@ gcl::Expr delta_expr(const gcl::Expr& e, const gcl::ActionAst& action,
   const std::size_t n = cards.size();
   // Fast path: the action writes no variable of e — Delta is 0.
   std::vector<char> used(n, 0);
-  mark_vars(e, used);
+  gcl::mark_vars(e, used);
   bool touches = false;
   for (const gcl::AssignmentAst& asg : action.assignments)
     touches |= asg.var_index < n && used[asg.var_index];
@@ -241,51 +199,6 @@ const char* discharge_name(Discharge d) {
   return "?";
 }
 
-std::vector<int> prover_cards(const gcl::SystemAst& ast) {
-  std::vector<int> cards;
-  cards.reserve(ast.vars.size());
-  for (const gcl::VarDeclAst& v : ast.vars) cards.push_back(v.cardinality);
-  return cards;
-}
-
-std::size_t valuation_count(const std::vector<std::size_t>& vars,
-                            const std::vector<int>& cards, std::size_t cap) {
-  std::size_t count = 1;
-  for (std::size_t v : vars) {
-    const auto card = static_cast<std::size_t>(cards[v]);
-    if (card == 0) return 0;
-    if (count > cap / card) return std::numeric_limits<std::size_t>::max();
-    count *= card;
-  }
-  return count;
-}
-
-bool for_each_valuation(const std::vector<std::size_t>& vars,
-                        const std::vector<int>& cards, StateVec& state,
-                        const std::function<bool(const StateVec&)>& f) {
-  state.assign(cards.size(), 0);
-  while (true) {
-    if (!f(state)) return false;
-    std::size_t i = 0;
-    for (; i < vars.size(); ++i) {
-      const std::size_t v = vars[i];
-      if (++state[v] < cards[v]) break;
-      state[v] = 0;
-    }
-    if (i == vars.size()) return true;
-  }
-}
-
-void apply_action_state(const gcl::ActionAst& action, const std::vector<int>& cards,
-                        const StateVec& s, StateVec& out) {
-  out = s;
-  for (const gcl::AssignmentAst& asg : action.assignments) {
-    if (asg.var_index >= out.size()) continue;
-    out[asg.var_index] = static_cast<Value>(
-        gcl::eval_mod(gcl::eval(asg.value, s), cards[asg.var_index]));
-  }
-}
-
 namespace {
 
 /// Shared context-selection step: mandatory footprint = prop + all
@@ -308,9 +221,9 @@ Selection select_context(const gcl::SystemAst& ast, const Expr* prop,
   const std::size_t n = ast.vars.size();
   Selection sel;
   std::vector<char> used(n, 0);
-  if (prop) mark_vars(*prop, used);
+  if (prop) gcl::mark_vars(*prop, used);
   for (std::size_t i = 0; i < context.size(); ++i)
-    if (i >= droppable.size() || !droppable[i]) mark_vars(*context[i], used);
+    if (i >= droppable.size() || !droppable[i]) gcl::mark_vars(*context[i], used);
 
   std::vector<const Expr*> pending;  // droppable, in order
   for (std::size_t i = 0; i < context.size(); ++i) {
@@ -323,7 +236,7 @@ Selection select_context(const gcl::SystemAst& ast, const Expr* prop,
   std::vector<const Expr*> deferred;
   for (const Expr* e : pending) {
     std::vector<char> with = used;
-    mark_vars(*e, with);
+    gcl::mark_vars(*e, with);
     if (with == used)
       sel.kept.push_back(e);
     else
@@ -331,16 +244,16 @@ Selection select_context(const gcl::SystemAst& ast, const Expr* prop,
   }
   for (const Expr* e : deferred) {
     std::vector<char> with = used;
-    mark_vars(*e, with);
-    if (valuation_count(used_to_list(with), cards, grow_budget) <= grow_budget) {
+    gcl::mark_vars(*e, with);
+    if (gcl::valuation_count(gcl::marked_vars(with), cards, grow_budget) <= grow_budget) {
       used = std::move(with);
       sel.kept.push_back(e);
     } else {
       ++sel.dropped;
     }
   }
-  sel.vars = used_to_list(used);
-  sel.count = valuation_count(sel.vars, cards, budget);
+  sel.vars = gcl::marked_vars(used);
+  sel.count = gcl::valuation_count(sel.vars, cards, budget);
   sel.exact = sel.dropped == 0;
   return sel;
 }
@@ -371,11 +284,11 @@ DecideOutcome enumerate_always(const gcl::Expr& prop, const Selection& sel,
   StateVec state;
   bool counterexample = false;
   std::size_t witnesses = 0;
-  for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
+  gcl::for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
     for (const Expr* c : sel.kept)
-      if (!truthy(*c, s)) return true;
+      if (!gcl::truthy(*c, s)) return true;
     ++witnesses;
-    if (!truthy(prop, s)) {
+    if (!gcl::truthy(prop, s)) {
       counterexample = true;
       return false;
     }
@@ -394,7 +307,7 @@ DecideOutcome decide_always(const gcl::SystemAst& ast, const gcl::Expr& prop,
                             const std::vector<const gcl::Expr*>& context,
                             const std::vector<bool>& droppable,
                             const DecideOptions& opts) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   // Minimal context first: mandatory footprint plus the free droppable
   // conjuncts only. Most obligations (a layer-local Delta against its
   // own guard) prove here at a cost independent of |Sigma|.
@@ -428,7 +341,7 @@ DecideOutcome decide_unsat(const gcl::SystemAst& ast,
                            const std::vector<const gcl::Expr*>& context,
                            const std::vector<bool>& droppable,
                            const DecideOptions& opts) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   // For unsatisfiability MORE context can only help (each kept conjunct
   // constrains further), so grow greedily right away.
   Selection sel =
@@ -436,9 +349,9 @@ DecideOutcome decide_unsat(const gcl::SystemAst& ast,
   if (sel.count <= opts.budget) {
     StateVec state;
     bool satisfiable = false;
-    for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
+    gcl::for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
       for (const Expr* c : sel.kept)
-        if (!truthy(*c, s)) return true;
+        if (!gcl::truthy(*c, s)) return true;
       satisfiable = true;
       return false;
     });

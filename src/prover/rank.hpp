@@ -21,11 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "core/space.hpp"
 #include "gcl/ast.hpp"
 
 namespace cref::prover {
@@ -43,13 +41,6 @@ gcl::Expr make_sum(std::vector<gcl::Expr> terms);
 /// Deep structural equality (op, value, var_index, children; source
 /// locations and display names ignored).
 bool expr_equal(const gcl::Expr& a, const gcl::Expr& b);
-
-/// Sorted distinct indices of the variables `e` references.
-std::vector<std::size_t> footprint(const gcl::Expr& e, std::size_t num_vars);
-
-/// Splits a top-level `&&` chain into its conjuncts (a non-And
-/// expression is its own single conjunct).
-std::vector<const gcl::Expr*> conjuncts_of(const gcl::Expr& e);
 
 // --- post-state substitution and Delta construction ------------------
 
@@ -117,29 +108,5 @@ DecideOutcome decide_unsat(const gcl::SystemAst& ast,
                            const std::vector<const gcl::Expr*>& context,
                            const std::vector<bool>& droppable,
                            const DecideOptions& opts = {});
-
-// --- enumeration helpers (shared with prove.cpp and the validator) ---
-
-/// Product of the listed variables' cardinalities; SIZE_MAX once the
-/// product exceeds `cap`.
-std::size_t valuation_count(const std::vector<std::size_t>& vars,
-                            const std::vector<int>& cards, std::size_t cap);
-
-/// Declared cardinalities of ast.vars (declaration order).
-std::vector<int> prover_cards(const gcl::SystemAst& ast);
-
-/// Calls `f(state)` for every valuation of `vars` (odometer order),
-/// with all other variables pinned to 0 — sound for expressions whose
-/// footprint is within `vars`. Stops early when `f` returns false;
-/// returns false iff stopped early.
-bool for_each_valuation(const std::vector<std::size_t>& vars,
-                        const std::vector<int>& cards, StateVec& state,
-                        const std::function<bool(const StateVec&)>& f);
-
-/// Executes `action` on `s` (guard NOT checked): all right-hand sides
-/// evaluated against `s`, then written reduced modulo the cardinality,
-/// in declaration order (last write wins) — gcl::compile's semantics.
-void apply_action_state(const gcl::ActionAst& action, const std::vector<int>& cards,
-                        const StateVec& s, StateVec& out);
 
 }  // namespace cref::prover

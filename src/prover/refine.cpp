@@ -5,9 +5,9 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "gcl/compile.hpp"
 #include "gcl/diag.hpp"
 #include "gcl/pretty.hpp"
+#include "gcl/valuation.hpp"
 #include "prover/interference.hpp"
 #include "prover/obligations.hpp"
 #include "prover/templates.hpp"
@@ -20,21 +20,9 @@ using gcl::Op;
 
 namespace {
 
-bool truthy(const Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
-
 /// a (sorted) subset-of b (sorted)?
 bool subset_of(const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) {
   return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
-std::string row_str(const gcl::SystemAst& ast, const StateVec& s,
-                    const std::vector<std::size_t>& fp) {
-  std::string out = "(";
-  for (std::size_t k = 0; k < fp.size(); ++k) {
-    if (k) out += ", ";
-    out += ast.vars[fp[k]].name + "=" + std::to_string(s[fp[k]]);
-  }
-  return out + ")";
 }
 
 /// Obligation context builder: expressions must outlive the decide call,
@@ -55,23 +43,16 @@ struct ObCtx {
 /// or its point checks evaluates has footprint inside this set, which is
 /// what makes pinning the other variables to 0 sound.
 std::vector<std::size_t> obligation_footprint(const AlphaCtx& ctx, std::size_t ai) {
-  const std::size_t n = ctx.c.vars.size();
-  std::vector<char> in(n, 0);
-  auto add = [&](const Expr& e) {
-    for (std::size_t v : footprint(e, n)) in[v] = 1;
-  };
+  std::vector<char> in(ctx.c.vars.size(), 0);
   const gcl::ActionAst& act = ctx.c.actions[ai];
-  add(act.guard);
+  gcl::mark_vars(act.guard, in);
   for (const gcl::AssignmentAst& asg : act.assignments) {
-    add(asg.value);
-    if (asg.var_index < n) in[asg.var_index] = 1;
+    gcl::mark_vars(asg.value, in);
+    if (asg.var_index < in.size()) in[asg.var_index] = 1;
   }
-  for (const Expr& e : ctx.img) add(e);
-  if (ctx.alpha.invariant) add(*ctx.alpha.invariant);
-  std::vector<std::size_t> out;
-  for (std::size_t v = 0; v < n; ++v)
-    if (in[v]) out.push_back(v);
-  return out;
+  for (const Expr& e : ctx.img) gcl::mark_vars(e, in);
+  if (ctx.alpha.invariant) gcl::mark_vars(*ctx.alpha.invariant, in);
+  return gcl::marked_vars(in);
 }
 
 /// Row-level classification of one action over its obligation footprint
@@ -94,16 +75,16 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
   EnumRows out;
   out.fp = obligation_footprint(ctx, ai);
   const gcl::ActionAst& act = ctx.c.actions[ai];
-  const std::size_t total = valuation_count(out.fp, ctx.c_cards, budget);
+  const std::size_t total = gcl::valuation_count(out.fp, ctx.c_cards, budget);
   if (total > budget) {
     out.fail = "enumerating " + act.name + " needs more than " +
                std::to_string(budget) + " valuations";
     return out;
   }
   StateVec s, post, img_s, img_t;
-  for_each_valuation(out.fp, ctx.c_cards, s, [&](const StateVec& sv) {
-    if (!truthy(act.guard, sv)) return true;
-    apply_action_state(act, ctx.c_cards, sv, post);
+  gcl::for_each_valuation(out.fp, ctx.c_cards, s, [&](const StateVec& sv) {
+    if (!gcl::truthy(act.guard, sv)) return true;
+    gcl::post_state(act, ctx.c_cards, sv, post);
     if (post == sv) return true;
     ++out.rows;
     gcl::alpha_image(ctx.alpha, ctx.a, sv, img_s);
@@ -128,8 +109,9 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
       // Complete refutation: the edge's image pair is not connected in
       // A at all, so classify_edge reports Invalid on a real state.
       out.refuted = true;
-      out.refute_msg = "action " + act.name + " at " + row_str(ctx.c, sv, out.fp) +
-                       " has no abstract path for its image change (Invalid edge)";
+      out.refute_msg = "action " + act.name + " at (" +
+                       gcl::format_valuation(ctx.c, out.fp, sv) +
+                       ") has no abstract path for its image change (Invalid edge)";
     } else {
       out.fail = "abstract BFS cap hit while classifying " + act.name;
     }
@@ -454,7 +436,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
         const Expr delta = delta_expr(cand.expr, c_ast.actions[rr.action], ctx.c_cards);
         // Point evaluation is only sound when the delta reads nothing
         // outside the row's enumeration footprint.
-        if (!subset_of(footprint(delta, c_ast.vars.size()), info[rr.action].rows.fp)) {
+        if (!subset_of(gcl::footprint(delta, c_ast.vars.size()), info[rr.action].rows.fp)) {
           rejected = true;
           break;
         }
@@ -565,7 +547,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
           const CompressedRow& row = cert.compressed[k];
           const Expr delta =
               delta_expr(cand.expr, c_ast.actions[row.action], ctx.c_cards);
-          if (!subset_of(footprint(delta, c_ast.vars.size()),
+          if (!subset_of(gcl::footprint(delta, c_ast.vars.size()),
                          info[row.action].rows.fp)) {
             rejected = true;
             break;
@@ -626,8 +608,8 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
           break;
         }
       }
-      const std::vector<const Expr*> init_conjs = conjuncts_of(*c_ast.init);
-      const std::vector<const Expr*> inv_conjs = conjuncts_of(inv);
+      const std::vector<const Expr*> init_conjs = gcl::conjuncts_of(*c_ast.init);
+      const std::vector<const Expr*> inv_conjs = gcl::conjuncts_of(inv);
       for (std::size_t ci = 0; ci < inv_conjs.size() && ok; ++ci) {
         std::vector<bool> drop(init_conjs.size(), true);
         const DecideOutcome r =
@@ -747,17 +729,17 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
   const AlphaCtx ctx(c_ast, a_ast, alpha);
   const std::size_t n = c_ast.vars.size();
   const Packing pack(ctx.c_cards);
-  const std::vector<std::size_t> all = all_vars(n);
+  const std::vector<std::size_t> all = gcl::all_vars(n);
 
   std::unordered_set<std::size_t> comp_sources;
   StateVec s, post, img_s, img_t;
   bool ok = true;
   std::string reason;
-  for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
+  gcl::for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
     bool has_move = false;
     for (const gcl::ActionAst& act : c_ast.actions) {
-      if (!truthy(act.guard, sv)) continue;
-      apply_action_state(act, ctx.c_cards, sv, post);
+      if (!gcl::truthy(act.guard, sv)) continue;
+      gcl::post_state(act, ctx.c_cards, sv, post);
       if (post == sv) continue;
       has_move = true;
       gcl::alpha_image(ctx.alpha, ctx.a, sv, img_s);
@@ -822,8 +804,8 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     // successor-closed, so source exclusion suffices).
     std::vector<char> seen(pack.total, 0);
     std::vector<std::size_t> queue;
-    for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
-      if (truthy(*c_ast.init, sv)) {
+    gcl::for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
+      if (gcl::truthy(*c_ast.init, sv)) {
         const std::size_t id = pack.encode(sv);
         if (!seen[id]) {
           seen[id] = 1;
@@ -838,8 +820,8 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
         return reject(why, "a compressed source is reachable from init");
       pack.decode(queue[head], ctx.c_cards, cur);
       for (const gcl::ActionAst& act : c_ast.actions) {
-        if (!truthy(act.guard, cur)) continue;
-        apply_action_state(act, ctx.c_cards, cur, post);
+        if (!gcl::truthy(act.guard, cur)) continue;
+        gcl::post_state(act, ctx.c_cards, cur, post);
         if (post == cur) continue;
         const std::size_t id = pack.encode(post);
         if (!seen[id]) {
@@ -980,7 +962,7 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     std::vector<Expr> deltas;
     for (const RankTerm& c : cert.stutter_components) {
       Expr d = delta_expr(c.expr, c_ast.actions[i], ctx.c_cards);
-      if (!subset_of(footprint(d, n), rows[i].fp))
+      if (!subset_of(gcl::footprint(d, n), rows[i].fp))
         return reject(why, "a stutter-ranking delta reads outside the footprint of " +
                                c_ast.actions[i].name);
       deltas.push_back(std::move(d));
@@ -1018,7 +1000,7 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       std::vector<Expr> deltas;
       for (const RankTerm& c : cert.visible_components) {
         Expr d = delta_expr(c.expr, c_ast.actions[row.action], ctx.c_cards);
-        if (!subset_of(footprint(d, n), rows[row.action].fp))
+        if (!subset_of(gcl::footprint(d, n), rows[row.action].fp))
           return reject(why,
                         "a visible-ranking delta reads outside the footprint of " +
                             c_ast.actions[row.action].name);
@@ -1036,8 +1018,8 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
         !expr_equal(cert.invariant, *alpha.invariant))
       return reject(why, "compressed rows with init but no binding alpha invariant");
     const Expr& inv = *alpha.invariant;
-    const std::vector<const Expr*> init_conjs = conjuncts_of(*c_ast.init);
-    const std::vector<const Expr*> inv_conjs = conjuncts_of(inv);
+    const std::vector<const Expr*> init_conjs = gcl::conjuncts_of(*c_ast.init);
+    const std::vector<const Expr*> inv_conjs = gcl::conjuncts_of(inv);
     for (const Expr* ic : inv_conjs) {
       std::vector<bool> drop(init_conjs.size(), true);
       if (!decide_always(c_ast, *ic, init_conjs, drop, dopts).proved)
@@ -1057,7 +1039,7 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       }
     }
     for (const CompressedRow& row : cert.compressed) {
-      if (!subset_of(footprint(inv, n), rows[row.action].fp))
+      if (!subset_of(gcl::footprint(inv, n), rows[row.action].fp))
         return reject(why, "the invariant reads outside a compressed row's footprint");
       if (gcl::eval(inv, row.source) != 0)
         return reject(why, "the invariant does not exclude a compressed source");
@@ -1107,7 +1089,7 @@ bool validate_refinement_certificate(const gcl::SystemAst& c_ast,
     return reject(why, "certificate action tables do not match the system");
   if (cert.deadlock_support.size() != na)
     return reject(why, "certificate deadlock table does not match the abstraction");
-  const std::vector<int> cards = prover_cards(c_ast);
+  const std::vector<int> cards = gcl::cards_of(c_ast);
   for (std::size_t i = 0; i < nc; ++i) {
     const ActionClass c = cert.action_class[i];
     if (c == ActionClass::Exact || c == ActionClass::Mixed) {
@@ -1137,7 +1119,7 @@ bool validate_refinement_certificate(const gcl::SystemAst& c_ast,
     for (std::size_t i : sup)
       if (i >= nc) return reject(why, "deadlock support out of range");
 
-  const std::size_t total = valuation_count(all_vars(n), cards, cert.budget);
+  const std::size_t total = gcl::valuation_count(gcl::all_vars(n), cards, cert.budget);
   if (total <= cert.budget)
     return validate_mode_a(c_ast, a_ast, alpha, cert, why);
   return validate_mode_b(c_ast, a_ast, alpha, cert, why);

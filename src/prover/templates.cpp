@@ -9,12 +9,6 @@ namespace cref::prover {
 using gcl::Expr;
 using gcl::Op;
 
-std::vector<std::size_t> all_vars(std::size_t n) {
-  std::vector<std::size_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = i;
-  return v;
-}
-
 void push_candidate(std::vector<Candidate>& pool, std::string pretty, Expr e,
                     std::size_t max_pool) {
   if (pool.size() >= max_pool) return;

@@ -63,8 +63,4 @@ std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
                                      const InterferenceGraph& ig,
                                      std::size_t max_pool);
 
-/// [0, n) — the full-footprint variable list for whole-Sigma
-/// enumeration.
-std::vector<std::size_t> all_vars(std::size_t n);
-
 }  // namespace cref::prover

@@ -7,6 +7,7 @@
 
 #include "gcl/compile.hpp"
 #include "gcl/parser.hpp"
+#include "gcl/valuation.hpp"
 
 // Transformer soundness against the concrete gcl::eval semantics,
 // checked exhaustively: for every concrete state in gamma(box),
@@ -84,7 +85,7 @@ class TransferTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ast_ = gcl::parse(kProgram);
-    cards_ = cards_of(ast_);
+    cards_ = gcl::cards_of(ast_);
     states_ = states_of(cards_);
   }
 

@@ -2,7 +2,7 @@
 # Pins cref_serve's per-request error handling: a request whose program
 # file is missing or does not parse, names an unknown relation, or is not
 # a well-formed line is answered with an error line in its place (text
-# and --json, where control bytes are escaped), every other request of
+# and --json, with control bytes escaped in both), every other request of
 # the batch is still answered, and the run exits 1. With --twice
 # --assert-warm the failed requests are skipped and the well-formed ones
 # must still come back as validated warm hits.
@@ -24,8 +24,9 @@ system broken {
   var x : 0..2
   action
 GCL
-# A program holding the control byte 0x01: its --json error line must
-# escape it as \u0001, as JSON requires.
+# A program holding the control byte 0x01: its error line must escape
+# it as \u0001 in text mode and --json alike, and so must the stderr
+# report of the failed request.
 printf 'system ctl {\n  var x : 0..2;\001\n}\n' > "$WORK/ctl.gcl"
 echo 'stabilizing ctl.gcl ring.gcl' > "$WORK/ctl.txt"
 cat > "$WORK/good.txt" <<'TXT'
@@ -92,6 +93,16 @@ code=$?
 [ "$code" -eq 1 ] || fail "control-byte --json batch exited $code, expected 1"
 expect_lines "$WORK/ctl.out" '"c": "ctl.gcl", .*"error": ".*\\u0001'
 if grep -q "$(printf '\001')" "$WORK/ctl.out"; then fail "raw control byte in --json output"; fi
+
+"$SERVE" --batch "$WORK/ctl.txt" > "$WORK/ctl_text.out" 2> "$WORK/ctl_text.err"
+code=$?
+[ "$code" -eq 1 ] || fail "control-byte text batch exited $code, expected 1"
+expect_lines "$WORK/ctl_text.out" '^stabilizing ctl.gcl ring.gcl ERROR error=".*\\u0001'
+grep -q 'cref_serve: request 0: .*\\u0001' "$WORK/ctl_text.err" ||
+  fail "text-mode stderr does not name the escaped error"
+for f in "$WORK/ctl_text.out" "$WORK/ctl_text.err"; do
+  if grep -q "$(printf '\001')" "$f"; then fail "raw control byte in text-mode $(basename "$f")"; fi
+done
 
 "$SERVE" --batch "$WORK/mixed.txt" --cache-dir "$WORK/cache" --twice --assert-warm \
   > "$WORK/twice.out" 2> "$WORK/twice.err"

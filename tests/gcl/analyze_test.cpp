@@ -159,6 +159,28 @@ TEST(AnalyzeGuards, IntervalFallbackStillCatchesProvablyFalse) {
   EXPECT_EQ(diags[0].rule, Rule::GuardAlwaysFalse);
 }
 
+TEST(AnalyzeGuards, IntervalFallbackIsSoundUnderInt64Wrap) {
+  // Six 0..15 variables put each guard's footprint at 2^24 valuations,
+  // above the exact budget, so the interval fallback decides. The sum
+  // plus the constant overflows int64 once it reaches 8, and eval wraps
+  // it negative: each guard holds in some states and fails in others.
+  const std::string src =
+      "system wrap6 {\n"
+      "  var a : 0..15;\n"
+      "  var b : 0..15;\n"
+      "  var c : 0..15;\n"
+      "  var d : 0..15;\n"
+      "  var e : 0..15;\n"
+      "  var f : 0..15;\n"
+      "  action lo : a + b + c + d + e + f + 9223372036854775800 < 0 -> a := a + 1;\n"
+      "  action hi : a + b + c + d + e + f + 9223372036854775800 > 0 -> b := b + 1;\n"
+      "}\n";
+  auto diags = analyze(parse(src));
+  EXPECT_EQ(count_rule(diags, Rule::GuardAlwaysTrue), 0u);
+  EXPECT_EQ(count_rule(diags, Rule::GuardAlwaysFalse), 0u);
+  EXPECT_EQ(count_rule(diags, Rule::AssignWraps), 2u);
+}
+
 // --- pass 2: domain flow ---------------------------------------------
 
 TEST(AnalyzeDomainFlow, OutOfDomainAssignmentWarns) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "gcl/compile.hpp"
 #include "gcl/parser.hpp"
 #include "gcl/pretty.hpp"
+#include "gcl/valuation.hpp"
 
 // The expression layer underneath the prover: post-state substitution,
 // Delta construction with term cancellation, the changed-state test,
@@ -41,9 +43,9 @@ std::vector<std::size_t> all_vars(const gcl::SystemAst& ast) {
 // Brute-force check: symbolic(s) == concrete over EVERY state.
 void expect_matches_everywhere(const gcl::SystemAst& ast, const gcl::Expr& symbolic,
                                const std::function<std::int64_t(const StateVec&)>& concrete) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   StateVec scratch;
-  for_each_valuation(all_vars(ast), cards, scratch, [&](const StateVec& s) {
+  gcl::for_each_valuation(all_vars(ast), cards, scratch, [&](const StateVec& s) {
     EXPECT_EQ(gcl::eval(symbolic, s), concrete(s));
     return true;
   });
@@ -51,7 +53,7 @@ void expect_matches_everywhere(const gcl::SystemAst& ast, const gcl::Expr& symbo
 
 TEST(RankTest, PostExprMatchesActionExecution) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   // rho = x + 2*y + z, evaluated after each action, must equal rho of
   // the concretely-executed post state (guard ignored on both sides).
   const gcl::Expr rho = make_sum({make_var(ast, 0),
@@ -62,7 +64,7 @@ TEST(RankTest, PostExprMatchesActionExecution) {
     const gcl::Expr post = post_expr(rho, action, cards);
     StateVec out;
     expect_matches_everywhere(ast, post, [&](const StateVec& s) {
-      apply_action_state(action, cards, s, out);
+      gcl::post_state(action, cards, s, out);
       return gcl::eval(rho, out);
     });
   }
@@ -70,37 +72,37 @@ TEST(RankTest, PostExprMatchesActionExecution) {
 
 TEST(RankTest, ApplyActionReadsOldStateAndLastWriteWins) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   // `swap` assigns x := y, y := x from the OLD state: a genuine swap.
   StateVec s = {3, 1, 1}, out;
-  apply_action_state(ast.actions[1], cards, s, out);
+  gcl::post_state(ast.actions[1], cards, s, out);
   EXPECT_EQ(out, (StateVec{1, 3, 0}));
   // `twice` assigns x twice; the LAST assignment (x := x + 2) wins,
   // reduced mod card(x) = 4.
   s = {3, 0, 0};
-  apply_action_state(ast.actions[2], cards, s, out);
+  gcl::post_state(ast.actions[2], cards, s, out);
   EXPECT_EQ(out[0], 1);  // (3 + 2) % 4
 }
 
 TEST(RankTest, DeltaCancelsUntouchedTerms) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   // `copy` writes only y, so Delta(x + y + z) must reference only
   // x and y — the x and z terms cancel syntactically.
   const gcl::Expr rho = make_sum({make_var(ast, 0), make_var(ast, 1), make_var(ast, 2)});
   const gcl::Expr delta = delta_expr(rho, ast.actions[0], cards);
-  EXPECT_EQ(footprint(delta, ast.vars.size()), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(gcl::footprint(delta, ast.vars.size()), (std::vector<std::size_t>{0, 1}));
   // And it still computes the true difference everywhere.
   StateVec out;
   expect_matches_everywhere(ast, delta, [&](const StateVec& s) {
-    apply_action_state(ast.actions[0], cards, s, out);
+    gcl::post_state(ast.actions[0], cards, s, out);
     return gcl::eval(rho, out) - gcl::eval(rho, s);
   });
 }
 
 TEST(RankTest, DeltaOfUntouchedExprIsConstZero) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   // `copy` writes y only; a ranking over z alone is untouched, and the
   // fast path must collapse the Delta to a literal Const 0 (so the
   // prover can discard the candidate without enumerating anything).
@@ -111,13 +113,13 @@ TEST(RankTest, DeltaOfUntouchedExprIsConstZero) {
 
 TEST(RankTest, ChangedExprMatchesStateComparison) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   for (const gcl::ActionAst& action : ast.actions) {
     SCOPED_TRACE(action.name);
     const gcl::Expr changed = changed_expr(action, cards);
     StateVec scratch, out;
-    for_each_valuation(all_vars(ast), cards, scratch, [&](const StateVec& s) {
-      apply_action_state(action, cards, s, out);
+    gcl::for_each_valuation(all_vars(ast), cards, scratch, [&](const StateVec& s) {
+      gcl::post_state(action, cards, s, out);
       EXPECT_EQ(gcl::eval(changed, s) != 0, out != s);
       return true;
     });
@@ -139,19 +141,19 @@ TEST(RankTest, ConjunctsSplitTopLevelAndOnly) {
   const gcl::Expr three = make_binary(
       gcl::Op::And, make_binary(gcl::Op::And, make_var(ast, 0), make_var(ast, 1)),
       make_var(ast, 2));
-  EXPECT_EQ(conjuncts_of(three).size(), 3u);
+  EXPECT_EQ(gcl::conjuncts_of(three).size(), 3u);
   // An Or is opaque: one conjunct.
   const gcl::Expr disj = make_binary(gcl::Op::Or, make_var(ast, 0), make_var(ast, 1));
-  EXPECT_EQ(conjuncts_of(disj).size(), 1u);
+  EXPECT_EQ(gcl::conjuncts_of(disj).size(), 1u);
 }
 
 TEST(RankTest, ValuationCountSaturatesAtCap) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cards_of(ast);
   EXPECT_EQ(cards, (std::vector<int>{4, 4, 2}));
-  EXPECT_EQ(valuation_count({0, 1, 2}, cards, 1024), 32u);
-  EXPECT_EQ(valuation_count({}, cards, 1024), 1u);
-  EXPECT_EQ(valuation_count({0, 1, 2}, cards, 16), SIZE_MAX);
+  EXPECT_EQ(gcl::valuation_count({0, 1, 2}, cards, 1024), 32u);
+  EXPECT_EQ(gcl::valuation_count({}, cards, 1024), 1u);
+  EXPECT_EQ(gcl::valuation_count({0, 1, 2}, cards, 16), SIZE_MAX);
 }
 
 TEST(RankTest, DecideAlwaysProvesAndRespectsContext) {

@@ -299,7 +299,9 @@ TEST(EngineOptionsTest, ResolveThreadCountNormalizesZero) {
   const std::size_t hw = resolve_thread_count(0);
   EXPECT_GE(hw, 1u);  // 0 means hardware concurrency, never zero workers
   std::size_t reported = std::thread::hardware_concurrency();
-  if (reported != 0) EXPECT_EQ(hw, reported);
+  if (reported != 0) {
+    EXPECT_EQ(hw, reported);
+  }
 }
 
 TEST(EngineOptionsTest, PhaseTimingsAccumulateAndReset) {

@@ -118,7 +118,7 @@ std::string error_line(const Request& req, bool json) {
         << "\", \"error\": \"" << gcl::json_escape(req.error) << "\"}";
   } else {
     out << req.relation << ' ' << req.c_path << ' ' << req.a_path << " ERROR error=\""
-        << req.error << '"';
+        << gcl::json_escape(req.error) << '"';
   }
   return out.str();
 }
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
         }
       }
       if (!r.error.empty()) {
-        std::cerr << "cref_serve: request " << i << ": " << r.error << '\n';
+        std::cerr << "cref_serve: request " << i << ": " << gcl::json_escape(r.error) << '\n';
         ++failed;
       }
     }
